@@ -90,9 +90,9 @@ final class DSTree private (
     SearchResult(id, bsf, v)
   }
 
-  def exactSearch(q: Array[Double]): SearchResult = {
+  def exactSearch(q: Array[Double], radius: Int): SearchResult = {
     val (qm, qs) = DSTree.segmentStats(q, params.w)
-    val approx = approxSearch(q)
+    val approx = approxSearch(q, radius)
     var bsf = approx.dist; var bestId = approx.id; var visited = approx.visitedRecords
     val pq = mutable.PriorityQueue.empty[(Double, Node)](Ordering.by(-_._1))
     pq.enqueue((nodeLb(qm, qs, root), root))

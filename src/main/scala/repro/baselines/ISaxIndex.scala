@@ -240,8 +240,8 @@ final class ISaxIndex private[baselines] (
   }
 
   /** Exact search via SIMS [62]. */
-  def exactSearch(q: Array[Double]): SearchResult = {
-    val approx = approxSearch(q)
+  def exactSearch(q: Array[Double], radius: Int): SearchResult = {
+    val approx = approxSearch(q, radius)
     val qPaa = Series.paa(q, params.w)
     var bsf = approx.dist; var bestId = approx.id; var visited = approx.visitedRecords
     var i = 0

@@ -109,7 +109,7 @@ final class RTreeSTR private (
     SearchResult(id, bsf, visited)
   }
 
-  def exactSearch(q: Array[Double]): SearchResult = {
+  def exactSearch(q: Array[Double], radius: Int): SearchResult = {
     val qPaa = Series.paa(q, params.w)
     var bsf = Double.PositiveInfinity; var bestId = -1L; var visited = 0L
     val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))

@@ -48,7 +48,7 @@ final class VerticalIndex private (
   /** Stepwise filter-and-refine scan. Returns the exact NN: after the last
     * level the accumulated distance IS the exact ED (orthonormal Haar).
     */
-  def exactSearch(q: Array[Double]): SearchResult = {
+  def exactSearch(q: Array[Double], radius: Int): SearchResult = {
     val qc = VerticalIndex.haar(q)
     val lb2 = new Array[Double](size) // accumulated partial distances
     var candidates = Array.tabulate(size)(identity)

@@ -163,7 +163,7 @@ object Experiments {
     var ms = 0.0; var visited = 0.0; var dist = 0.0
     for (q <- queries) {
       val s0 = disk.snapshot
-      val r = if (exact) idx.exactSearch(q) else idx.approxSearch(q, radius)
+      val r = if (exact) idx.exactSearch(q, radius) else idx.approxSearch(q, radius)
       ms += (disk.snapshot - s0).elapsedMs
       visited += r.visitedRecords
       dist += r.dist
@@ -220,17 +220,7 @@ object Experiments {
       val (idx, disk) = build(sys, data, cfg.p, cfg.leafCap, mem)
       val approx = queryStats(idx, disk, queries, exact = false, radius = r)
       val (idx2, disk2) = build(sys, data, cfg.p, cfg.leafCap, mem)
-      val exact = idx2 match {
-        case t: CoconutTree =>
-          var ms = 0.0; var visited = 0.0; var dist = 0.0
-          for (q <- queries) {
-            val s0 = disk2.snapshot
-            val res = t.exactSearch(q, r)
-            ms += (disk2.snapshot - s0).elapsedMs; visited += res.visitedRecords; dist += res.dist
-          }
-          (ms / queries.length, visited / queries.length, dist / queries.length)
-        case other => queryStats(other, disk2, queries, exact = true)
-      }
+      val exact = queryStats(idx2, disk2, queries, exact = true, radius = r)
       label -> (approx, exact)
     }.toMap
     val labels = variants.map(_._1)
@@ -326,7 +316,7 @@ object Experiments {
                 "s", mems.map(_._1), systems) { put =>
       for ((label, frac) <- mems; s <- systems) {
         val (idx, disk) = build(s, data, cfg.p, cfg.leafCap, (cfg.rawBytes * frac).toLong)
-        queries.foreach(idx.exactSearch)
+        queries.foreach(idx.exactSearch(_))
         put(s, label, disk.elapsedMs / 1000.0)
       }
     }

@@ -9,8 +9,8 @@ import repro.series.{InvSAX, SAX, SaxParams, Series}
 /** Coconut-Tree as a distributed Spark dataflow — the paper's bulk-loading
   * pipeline (Algorithm 3) expressed in the DataFrame API:
   *
-  *  1. '''summarize''': add `invsax` (sign-flipped Long z-order key — see
-  *     [[repro.series.InvSAX.toLong]]), `sax` and `paa` columns via UDFs;
+  *  1. '''summarize''': add the `invsax` column (sign-flipped Long z-order
+  *     key — see [[repro.series.InvSAX.toLong]]) via a UDF;
   *  2. '''bulk load''': `repartitionByRange(numLeaves, $"invsax")` — a
   *     Catalyst `RangePartitioning` over a sampled key distribution, i.e.
   *     exactly the median-based splitting of §4.3 — followed by
@@ -47,28 +47,17 @@ object CoconutSpark {
   def invSaxUdf(p: SaxParams): UserDefinedFunction =
     udf((s: Seq[Double]) => InvSAX.ofSeries(s.toArray, p))
 
-  /** UDF computing the SAX word (as ints) of a series. */
-  def saxUdf(p: SaxParams): UserDefinedFunction =
-    udf((s: Seq[Double]) => SAX.sax(s.toArray, p))
-
-  /** UDF computing the PAA vector of a series. */
-  def paaUdf(p: SaxParams): UserDefinedFunction =
-    udf((s: Seq[Double]) => Series.paa(s.toArray, p.w))
-
-  /** Register the summarization UDFs on the session (`invsax`, `sax`,
-    * `paa`) so they are usable from Spark SQL as well.
+  /** Register the summarization UDF on the session as `invsax`, so it is
+    * usable from Spark SQL as well.
     */
-  def registerUdfs(spark: SparkSession, p: SaxParams): Unit = {
+  def registerUdfs(spark: SparkSession, p: SaxParams): Unit =
     spark.udf.register("invsax", invSaxUdf(p))
-    spark.udf.register("sax", saxUdf(p))
-    spark.udf.register("paa", paaUdf(p))
-  }
 
-  /** Add `invsax` / `sax` / `paa` columns to a `(id, series)` DataFrame. */
+  /** Add the `invsax` column, the only summary that queries, [[load]] and
+    * the bulk load read, to a `(id, series)` DataFrame.
+    */
   def summarize(df: DataFrame, p: SaxParams): DataFrame =
     df.withColumn("invsax", invSaxUdf(p)(col("series")))
-      .withColumn("sax", saxUdf(p)(col("series")))
-      .withColumn("paa", paaUdf(p)(col("series")))
 
   /** Bulk-load the index: z-order sort + range partition into `numLeaves`
     * leaves, written as a Parquet dataset partitioned by `leaf`. Returns

@@ -12,22 +12,21 @@ final case class Entry(inv: Long, id: Int)
 /** A leaf holding invSAX-sorted entries; `filePos` is its first record's
   * position in the (simulated) index file, used for I/O accounting.
   */
-final class Leaf(val capacity: Int) {
-  val entries: ArrayBuffer[Entry] = ArrayBuffer.empty
-  var filePos: Long = -1L
+final class Leaf(val capacity: Int, val entries: Array[Entry], val filePos: Long) {
   def key: Long = entries.head.inv
   def occupancy: Int = entries.length
 }
 
 /** Coconut-Tree (paper §4.3, Algorithm 3): a balanced, contiguous,
   * densely-packed data series index bulk-loaded bottom-up from the
-  * invSAX-sorted run (UB-tree bulk loading), with median-based splitting
-  * for subsequent bulk inserts.
+  * invSAX-sorted run (UB-tree bulk loading). Each later batch is merged
+  * into that run and the leaves are packed again (§5.3).
   *
   * The in-memory structure keeps the sorted leaf directory (equivalent to
   * the internal B+-tree levels, which the paper also keeps in memory) plus
   * the in-memory summarization array that `CoconutTreeSIMS` (Algorithm 5)
-  * scans; all secondary-storage traffic is charged to [[disk]].
+  * scans; all secondary-storage traffic is charged to [[disk]]. The raw
+  * series are the caller's array, not a copy.
   *
   * @param materialized if true, leaves store the raw series (CTreeFull);
   *                     otherwise they store `(invSAX, offset)` pairs (CTree)
@@ -35,17 +34,16 @@ final class Leaf(val capacity: Int) {
 final class CoconutTree private[core] (
     val name: String,
     val params: SaxParams,
-    val data: ArrayBuffer[Array[Double]],
+    private var data: Array[Array[Double]],
     val leaves: ArrayBuffer[Leaf],
     val materialized: Boolean,
     val disk: DiskModel,
     private val rawFile: SimFile,
     private val indexFile: SimFile,
-    val defaultRadius: Int,
     /** Prefix-split (trie) leaves allocate storage per leaf; median-split
       * leaves pack into one extent (the paper's compactness advantage).
       */
-    private val perLeafAlloc: Boolean = false,
+    private val perLeafAlloc: Boolean,
 ) extends SeriesIndex {
   def size: Int = data.length
   def leafCount: Int = leaves.length
@@ -78,15 +76,14 @@ final class CoconutTree private[core] (
   /** Scan candidates of one leaf range, updating best-so-far.
     * Materialized leaves already carry the raw series (no extra I/O beyond
     * the leaf read); non-materialized leaves fetch raw series in ascending
-    * MINDIST order with early abandon, and — for approximate search — at
-    * most `fetchCap` fetches (Algorithm 4 retrieves "the data series in a
-    * radius around the insertion point, usually a disk page", not a whole
-    * 2000-entry leaf's worth of random raw-file reads).
+    * MINDIST order with early abandon, and at most `fetchCap` fetches
+    * (Algorithm 4 retrieves "the data series in a radius around the
+    * insertion point, usually a disk page", not a whole 2000-entry leaf's
+    * worth of random raw-file reads).
     */
   private def scanCandidates(entries: Iterable[Entry], q: Array[Double], qPaa: Array[Double],
-                             bsf0: Double, id0: Long,
-                             fetchCap: Int = Int.MaxValue): (Double, Long, Long) = {
-    var bsf = bsf0; var bestId = id0; var visited = 0L
+                             fetchCap: Int): (Double, Long, Long) = {
+    var bsf = Double.PositiveInfinity; var bestId = -1L; var visited = 0L
     if (materialized) {
       for (e <- entries) {
         val d2 = Series.squaredEuclideanAbandon(data(e.id), q, bsf * bsf)
@@ -119,184 +116,75 @@ final class CoconutTree private[core] (
     * one sequential range read, since Coconut leaves are contiguous.
     */
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
+    require(q.length == params.n && q.forall(java.lang.Double.isFinite),
+      s"query must be ${params.n} finite values, like the indexed series; " +
+      s"got ${q.length} values, ${q.count(v => !java.lang.Double.isFinite(v))} of them NaN or infinite")
+    require(radius >= 0, s"radius must be non-negative, got $radius")
     val qPaa = Series.paa(q, params.w)
     val qInv = InvSAX.toLong(SAX.fromPaa(qPaa, params), params)
     val c = leafOf(qInv)
-    val lo = math.max(0, c - radius); val hi = math.min(leaves.length - 1, c + radius)
-    // Contiguous at bulk-load time; post-update splits may fragment, so read
-    // per-leaf ranges (adjacent leaves coalesce via the cursor).
-    val window = ArrayBuffer.empty[Entry]
-    var li = lo
-    while (li <= hi) {
-      val leaf = leaves(li)
-      indexFile.readRange(leaf.filePos, leaf.occupancy.toLong)
-      window ++= leaf.entries
-      li += 1
-    }
-    val fetchCap = CoconutTree.ApproxPageFetch * (2 * radius + 1)
-    val (bsf, bestId, visited) =
-      scanCandidates(window, q, qPaa, Double.PositiveInfinity, -1L, fetchCap)
+    val window = leaves.slice(math.max(0, c - radius), math.min(leaves.length, c + radius + 1))
+    indexFile.readRange(window.head.filePos, window.map(_.occupancy.toLong).sum)
+    val (bsf, bestId, visited) = scanCandidates(window.flatMap(_.entries), q, qPaa,
+                                                CoconutTree.ApproxPageFetch * (2 * radius + 1))
     SearchResult(bestId, bsf, visited)
   }
 
   /** Exact search: CoconutTreeSIMS (Algorithm 5). Approximate search seeds
     * the best-so-far; the in-memory summarization array (aligned with the
-    * on-disk leaf order) is scanned, and unpruned records are fetched with
-    * a skip-sequential pass.
+    * on-disk leaf order) is scanned, and the unpruned records are fetched
+    * in file order — the index file's for CTreeFull, the raw file's for
+    * CTree — in one skip-sequential pass (the paper's "synchronized
+    * skip-sequential scan"), rather than a random read per candidate in
+    * z-order.
     */
-  def exactSearch(q: Array[Double]): SearchResult = exactSearch(q, defaultRadius)
-
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
     val approx = approxSearch(q, radius)
     val qPaa = Series.paa(q, params.w)
     var bsf = approx.dist; var bestId = approx.id; var visited = approx.visitedRecords
-    if (materialized) {
-      // Materialized: the summaries are aligned with the index file, so the
-      // scan + fetch is one synchronized skip-sequential pass over it.
-      var li = 0
-      while (li < leaves.length) {
-        val leaf = leaves(li)
-        var i = 0
-        while (i < leaf.occupancy) {
-          val e = leaf.entries(i)
-          val md = SAX.minDistPaaToSax(qPaa, word(e.inv), params)
-          if (md < bsf) {
-            indexFile.readRecord(leaf.filePos + i)
-            visited += 1
-            val d2 = Series.squaredEuclideanAbandon(data(e.id), q, bsf * bsf)
-            if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = e.id }
-          }
-          i += 1
-        }
-        li += 1
+    val cands = ArrayBuffer.empty[CoconutTree.Candidate]
+    var li = 0
+    while (li < leaves.length) {
+      val leaf = leaves(li)
+      var i = 0
+      while (i < leaf.occupancy) {
+        val e = leaf.entries(i)
+        val md = SAX.minDistPaaToSax(qPaa, word(e.inv), params)
+        if (md < bsf) cands += CoconutTree.Candidate(if (materialized) leaf.filePos + i else e.id, e.id, md)
+        i += 1
       }
-    } else {
-      // Non-materialized: prune with the in-memory summaries first, then
-      // fetch the unpruned records in *raw-file offset order* — the
-      // paper's "synchronized skip-sequential scan of the raw data" —
-      // rather than issuing a random read per candidate in z-order.
-      val cands = ArrayBuffer.empty[(Int, Double)] // (raw offset, mindist)
-      var li = 0
-      while (li < leaves.length) {
-        val leaf = leaves(li)
-        var i = 0
-        while (i < leaf.occupancy) {
-          val e = leaf.entries(i)
-          val md = SAX.minDistPaaToSax(qPaa, word(e.inv), params)
-          if (md < bsf) cands += ((e.id, md))
-          i += 1
-        }
-        li += 1
-      }
-      val sorted = cands.sortInPlaceBy(_._1)
-      rawFile.resetCursor()
-      for ((id, md) <- sorted; if md < bsf) {
-        rawFile.readRecord(id.toLong)
-        visited += 1
-        val d2 = Series.squaredEuclideanAbandon(data(id), q, bsf * bsf)
-        if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = id }
-      }
+      li += 1
+    }
+    val file = if (materialized) indexFile else rawFile
+    rawFile.resetCursor()
+    for (c <- cands.sortInPlace()(CoconutTree.byPos); if c.md < bsf) {
+      file.readRecord(c.pos)
+      visited += 1
+      val d2 = Series.squaredEuclideanAbandon(data(c.id), q, bsf * bsf)
+      if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = c.id }
     }
     SearchResult(bestId, bsf, visited)
   }
-
-  /** Bulk insert (paper §5.3, Fig. 10a): the batch is appended to the raw
-    * file, summarized and sorted in memory, then merged leaf-locally into
-    * the sorted index; overflowing leaves split at the median. Each
-    * touched leaf costs one random read + write; the larger the batch, the
-    * fewer per-series I/Os — the effect Fig. 10a measures.
-    */
-  def bulkInsert(batch: Array[Array[Double]]): Unit = {
-    if (batch.isEmpty) return
-    val base = data.length
-    rawFile.appendRange(batch.length.toLong)
-    data ++= batch
-    val newEntries = Array.tabulate(batch.length) { i =>
-      Entry(InvSAX.ofSeries(batch(i), params), base + i)
-    }.sortBy(_.inv)
-
-    // Group the sorted batch by destination leaf.
-    var i = 0
-    val touched = scala.collection.mutable.LinkedHashMap.empty[Int, ArrayBuffer[Entry]]
-    while (i < newEntries.length) {
-      val li = leafOf(newEntries(i).inv)
-      touched.getOrElseUpdate(li, ArrayBuffer.empty) += newEntries(i)
-      i += 1
-    }
-    // Process in descending leaf order so in-place splits don't shift
-    // pending indices.
-    for ((li, es) <- touched.toSeq.sortBy(-_._1)) {
-      val leaf = leaves(li)
-      indexFile.readRange(leaf.filePos, leaf.occupancy.toLong) // random read of the leaf
-      val merged = (leaf.entries ++ es).sortBy(_.inv)
-      leaf.entries.clear()
-      if (merged.length <= leaf.capacity) {
-        leaf.entries ++= merged
-        indexFile.writeRecord(leaf.filePos) // rewrite in place
-      } else {
-        // Median-based split chain: cut into half-capacity-or-more pieces.
-        val pieces = merged.grouped((merged.length + 1) / ((merged.length / leaf.capacity) + 1)).toArray
-        leaf.entries ++= pieces(0)
-        indexFile.writeRecord(leaf.filePos)
-        var p = 1
-        var insertAt = li + 1
-        while (p < pieces.length) {
-          val nl = new Leaf(leaf.capacity)
-          nl.entries ++= pieces(p)
-          nl.filePos = nextFilePos() // appended at the end of the index file
-          indexFile.appendRange(nl.occupancy.toLong)
-          leaves.insert(insertAt, nl)
-          insertAt += 1
-          p += 1
-        }
-      }
-    }
-    rebuildKeys()
-  }
-
-  private var filePosHigh: Long = leaves.iterator.map(l => l.filePos + l.capacity).foldLeft(0L)(math.max)
-  private def nextFilePos(): Long = { val p = filePosHigh; filePosHigh += leaves.head.capacity; p }
 
   /** Bulk insert by re-running bulk loading over batch ∪ index (the
     * paper's §5.3 updates experiment: each arriving batch is bulk-loaded,
     * merging the sorted batch into the sorted index with one sequential
     * read + write of the whole index). Cheap per series for large batches,
-    * expensive for highly fragmented ones — the Fig. 10a trade-off.
+    * expensive for highly fragmented ones — the Fig. 10a trade-off. Leaves
+    * are packed full again, contiguous from position 0.
     */
   def bulkInsertMerge(batch: Array[Array[Double]]): Unit = {
     if (batch.isEmpty) return
     val base = data.length
-    rawFile.appendRange(batch.length.toLong)                  // batch lands in the raw file
+    rawFile.appendRange(batch.length.toLong)                                   // batch lands in the raw file
     rawFile.resetCursor(); rawFile.readRange(base.toLong, batch.length.toLong) // summarize pass
-    data ++= batch
-    val newEntries = Array.tabulate(batch.length) { i =>
-      Entry(InvSAX.ofSeries(batch(i), params), base + i)
-    }.sortBy(_.inv)
-    val old = leaves.flatMap(_.entries)
-    indexFile.resetCursor()
-    indexFile.readRange(0, old.length.toLong)                 // read the sorted index
-    // In-memory merge of two sorted runs.
-    val merged = new ArrayBuffer[Entry](old.length + newEntries.length)
-    var i = 0; var j = 0
-    while (i < old.length && j < newEntries.length) {
-      if (old(i).inv <= newEntries(j).inv) { merged += old(i); i += 1 }
-      else { merged += newEntries(j); j += 1 }
-    }
-    while (i < old.length) { merged += old(i); i += 1 }
-    while (j < newEntries.length) { merged += newEntries(j); j += 1 }
-    indexFile.appendRange(merged.length.toLong)               // write the merged index
-    // Repack leaves at full occupancy, contiguous again.
+    indexFile.resetCursor(); indexFile.readRange(0, base.toLong)               // read the sorted index
+    indexFile.appendRange((base + batch.length).toLong)                        // write the merged index
+    data = data ++ batch
+    val run = CoconutTree.sortedRun(data, base, params, Array.concat(leaves.map(_.entries).toSeq: _*))
     val cap = leaves.head.capacity
     leaves.clear()
-    var pos = 0L
-    merged.grouped(cap).foreach { g =>
-      val l = new Leaf(cap)
-      l.entries ++= g
-      l.filePos = pos
-      pos += g.length
-      leaves += l
-    }
-    filePosHigh = pos
+    leaves ++= CoconutTree.pack(run, CoconutTree.fixedCuts(run.length, cap), cap)
     rebuildKeys()
   }
 }
@@ -308,56 +196,78 @@ object CoconutTree {
     */
   val ApproxPageFetch: Int = 10
 
-  /** Bottom-up bulk load (Algorithm 3): summarize with one sequential pass
-    * over the raw file, external-sort by invSAX under the memory budget,
-    * then pack leaves to `fill`·capacity and build the (in-memory)
-    * balanced directory. Materialized builds sort the raw series alongside
-    * the summarizations, which is what Fig. 8a/8d charge for.
+  /** A SIMS candidate: its record's position in the file it is fetched from. */
+  private final case class Candidate(pos: Long, id: Int, md: Double)
+  private val byPos: Ordering[Candidate] = (a, b) => java.lang.Long.compare(a.pos, b.pos)
+  private val byInv: Ordering[Entry] = (a, b) => java.lang.Long.compare(a.inv, b.inv)
+
+  /** Bottom-up bulk load (Algorithm 3): the shared build with leaves packed
+    * to `fill`·capacity. When the external sort already wrote the final
+    * sorted run in one piece, that write *is* the leaf write.
     *
     * @param memBytes  simulated main-memory budget (drives external sort)
     * @param fill      target leaf fill factor (paper measures 97%)
     */
   def bulkLoad(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
                memBytes: Long, disk: DiskModel, materialized: Boolean,
-               fill: Double = 1.0, defaultRadius: Int = 1): CoconutTree = {
-    require(data.nonEmpty)
-    val n = data.length
-    val len = data(0).length
-    val sumBytes = p.wordBytes + 8 // invSAX + offset
-    val rawBytes = len * 8
-    val rawFile = disk.file("raw", rawBytes)
-    val indexFile = disk.file(if (materialized) "ctree-full-index" else "ctree-index",
-                              if (materialized) rawBytes + sumBytes else sumBytes)
-
-    // Pass 1: scan raw file, compute sortable summarizations (lines 2-8).
-    rawFile.scan(n.toLong)
-    val entries = Array.tabulate(n)(i => Entry(InvSAX.ofSeries(data(i), p), i))
-
-    // External sort (lines 9-12): non-materialized sorts only the tiny
-    // summarization records (usually fits in memory); materialized carries
-    // the raw series through the sort.
-    val sortRec = if (materialized) rawBytes + sumBytes else sumBytes
-    val sortFile = disk.file(if (materialized) "ctree-full-sort" else "ctree-sort", sortRec)
-    val runs = ExternalSort.charge(sortFile, n.toLong, memBytes)
-    java.util.Arrays.sort(entries, Ordering.by[Entry, Long](_.inv))
-
-    // UB-tree bulk load (line 13): pack sorted entries into leaves at the
-    // target fill factor and write them contiguously. When the external
-    // sort already wrote the final sorted run, that write *is* the leaf
-    // write for the materialized layout.
-    val target = math.max(1, (leafCapacity * fill).toInt)
-    val leaves = ArrayBuffer.empty[Leaf]
-    var pos = 0L
-    entries.grouped(target).foreach { g =>
-      val l = new Leaf(leafCapacity)
-      l.entries ++= g
-      l.filePos = pos
-      pos += g.length
-      leaves += l
+               fill: Double = 1.0): CoconutTree =
+    build("CTree", data, p, leafCapacity, memBytes, disk, materialized) { (run, _, indexFile, runs) =>
+      if (runs == 1) indexFile.appendRange(run.length.toLong)
+      fixedCuts(run.length, math.max(1, (leafCapacity * fill).toInt))
     }
-    if (runs == 1) indexFile.appendRange(n.toLong)
-    val buf = ArrayBuffer.empty[Array[Double]]; buf ++= data
-    new CoconutTree(if (materialized) "CTreeFull" else "CTree",
-                    p, buf, leaves, materialized, disk, rawFile, indexFile, defaultRadius)
+
+  /** The build Coconut-Tree and Coconut-Trie share (Algorithms 2–3, lines
+    * 2–13): summarize with one sequential pass over the raw file,
+    * external-sort the summaries by invSAX under the memory budget
+    * (materialized builds carry the raw series through the sort, which is
+    * what Fig. 8a/8d charge for), then pack the sorted run into contiguous
+    * leaves at the cut points `layout` returns. `layout` gets the run, the
+    * raw and index files and the number of sort runs, and charges the
+    * variant's own leaf writes.
+    *
+    * @param kind "CTree" or "CTrie"; names the index and its files
+    */
+  private[core] def build(kind: String, data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
+                          memBytes: Long, disk: DiskModel, materialized: Boolean)
+                         (layout: (Array[Entry], SimFile, SimFile, Int) => collection.IndexedSeq[Int])
+      : CoconutTree = {
+    require(data.nonEmpty, "cannot bulk-load an empty dataset")
+    val n = data.length.toLong
+    val rawBytes = data(0).length * 8
+    val recBytes = p.wordBytes + 8 + (if (materialized) rawBytes else 0) // invSAX + offset (+ series)
+    val files = kind.toLowerCase + (if (materialized) "-full" else "")
+    val rawFile = disk.file("raw", rawBytes)
+    val indexFile = disk.file(s"$files-index", recBytes)
+    rawFile.scan(n)
+    val runs = ExternalSort.charge(disk.file(s"$files-sort", recBytes), n, memBytes)
+    val run = sortedRun(data, 0, p, Array.empty)
+    val cuts = layout(run, rawFile, indexFile, runs)
+    new CoconutTree(kind + (if (materialized) "Full" else ""), p, data,
+                    pack(run, cuts, leafCapacity), materialized, disk, rawFile, indexFile,
+                    perLeafAlloc = kind == "CTrie")
   }
+
+  /** The invSAX-sorted run: `prefix` followed by the summaries of
+    * `data(from until data.length)`, stably sorted, so equal keys keep
+    * prefix-first, then raw-file order. A sorted `prefix` makes the sort a
+    * merge of the two runs.
+    */
+  private def sortedRun(data: Array[Array[Double]], from: Int, p: SaxParams,
+                        prefix: Array[Entry]): Array[Entry] = {
+    val run = java.util.Arrays.copyOf(prefix, prefix.length + data.length - from)
+    var i = from
+    while (i < data.length) { run(prefix.length + i - from) = Entry(InvSAX.ofSeries(data(i), p), i); i += 1 }
+    java.util.Arrays.sort(run, byInv)
+    run
+  }
+
+  /** Cut points of consecutive groups of `size` entries. */
+  private def fixedCuts(n: Int, size: Int): IndexedSeq[Int] = (0 until n by size) :+ n
+
+  /** Leaf k holds `run(cuts(k) until cuts(k + 1))`, at index-file position
+    * `cuts(k)`: the leaves are contiguous and in run order.
+    */
+  private def pack(run: Array[Entry], cuts: collection.IndexedSeq[Int], capacity: Int): ArrayBuffer[Leaf] =
+    ArrayBuffer.tabulate(cuts.length - 1)(k =>
+      new Leaf(capacity, java.util.Arrays.copyOfRange(run, cuts(k), cuts(k + 1)), cuts(k)))
 }

@@ -2,8 +2,8 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import repro.series.{InvSAX, SaxParams}
-import repro.storage.{DiskModel, ExternalSort}
+import repro.series.SaxParams
+import repro.storage.{DiskModel, SimFile}
 
 /** Coconut-Trie (paper §4.2, Algorithm 2): bottom-up bulk loading of a
   * *prefix-split* iSAX trie from the invSAX-sorted run, followed by
@@ -28,26 +28,23 @@ import repro.storage.{DiskModel, ExternalSort}
   */
 object CoconutTrie {
 
-  /** Bulk load a Coconut-Trie ("CTrie", or "CTrieFull" when materialized). */
+  /** Bulk load a Coconut-Trie ("CTrie", or "CTrieFull" when materialized):
+    * the same summarize pass and external sort as Coconut-Tree (lines 2–12
+    * of Algorithm 2), with leaves cut at prefix boundaries.
+    */
   def bulkLoad(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
-               memBytes: Long, disk: DiskModel, materialized: Boolean,
-               defaultRadius: Int = 1): CoconutTree = {
-    require(data.nonEmpty)
-    val n = data.length
-    val len = data(0).length
-    val sumBytes = p.wordBytes + 8
-    val rawBytes = len * 8
-    val rawFile = disk.file("raw", rawBytes)
-    val leafRec = if (materialized) rawBytes + sumBytes else sumBytes
-    val indexFile = disk.file(if (materialized) "ctrie-full-index" else "ctrie-index", leafRec)
+               memBytes: Long, disk: DiskModel, materialized: Boolean): CoconutTree =
+    CoconutTree.build("CTrie", data, p, leafCapacity, memBytes, disk, materialized) {
+      (run, rawFile, indexFile, _) =>
+        prefixCuts(run, p, leafCapacity, memBytes, materialized, rawFile, indexFile)
+    }
 
-    // Summarize pass + external sort of the (invSAX, offset) run — same
-    // lines 2-12 of Algorithm 2 as Coconut-Tree.
-    rawFile.scan(n.toLong)
-    val entries = Array.tabulate(n)(i => Entry(InvSAX.ofSeries(data(i), p), i))
-    val sortFile = disk.file(if (materialized) "ctrie-full-sort" else "ctrie-sort", leafRec)
-    ExternalSort.charge(sortFile, n.toLong, memBytes)
-    java.util.Arrays.sort(entries, Ordering.by[Entry, Long](_.inv))
+  /** Cut points of the compacted trie's leaves in the sorted run, with the
+    * I/O of building and compacting them charged to the files.
+    */
+  private def prefixCuts(run: Array[Entry], p: SaxParams, leafCapacity: Int, memBytes: Long,
+                         materialized: Boolean, rawFile: SimFile, indexFile: SimFile): ArrayBuffer[Int] = {
+    val n = run.length
 
     // Prefix-split the sorted run on interleaved bits (≡ compacted trie).
     val cuts = ArrayBuffer(0)
@@ -56,7 +53,7 @@ object CoconutTrie {
       var a = lo; var b = hi
       while (a < b) {
         val mid = (a + b) >>> 1
-        val raw = entries(mid).inv ^ Long.MinValue
+        val raw = run(mid).inv ^ Long.MinValue
         if (((raw >>> (63 - bit)) & 1L) == 0L) a = mid + 1 else b = mid
       }
       a
@@ -91,7 +88,7 @@ object CoconutTrie {
     // is a cache miss per series (the paper's "extensive I/Os ... on the
     // last pass"), otherwise one sequential pass.
     if (materialized) {
-      val rawTotal = n.toLong * rawBytes
+      val rawTotal = n.toLong * rawFile.recordBytes
       if (rawTotal <= memBytes) { rawFile.resetCursor(); rawFile.scan(n.toLong) }
       else {
         val missRate = 1.0 - memBytes.toDouble / rawTotal
@@ -99,23 +96,6 @@ object CoconutTrie {
       }
       indexFile.appendRange(n.toLong)
     }
-
-    // Assemble the shared sorted-leaf engine with prefix-split boundaries.
-    val leaves = ArrayBuffer.empty[Leaf]
-    var pos = 0L
-    var c = 0
-    while (c < cuts.length - 1) {
-      val l = new Leaf(leafCapacity)
-      var j = cuts(c)
-      while (j < cuts(c + 1)) { l.entries += entries(j); j += 1 }
-      l.filePos = pos
-      pos += l.occupancy
-      leaves += l
-      c += 1
-    }
-    val buf = ArrayBuffer.empty[Array[Double]]; buf ++= data
-    new CoconutTree(if (materialized) "CTrieFull" else "CTrie",
-                    p, buf, leaves, materialized, disk, rawFile, indexFile, defaultRadius,
-                    perLeafAlloc = true)
+    cuts
   }
 }

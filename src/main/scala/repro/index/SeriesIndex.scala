@@ -46,9 +46,11 @@ trait SeriesIndex {
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult
 
   /** Exact nearest-neighbor search (SIMS-style or branch-and-bound,
-    * depending on the index).
+    * depending on the index). Indexes that seed the search with an
+    * approximate answer pass `radius` to [[approxSearch]]; the answer is
+    * exact whatever the radius.
     */
-  def exactSearch(q: Array[Double]): SearchResult
+  def exactSearch(q: Array[Double], radius: Int = 1): SearchResult
 }
 
 object SeriesIndex {

@@ -1,49 +1,7 @@
 package repro
 
-import org.apache.spark.sql.functions._
-
-/** Sanity coverage for the provided TPC-H-lite generators and the
-  * data-series extension, including a DuckDB-oracled aggregation.
-  */
+/** The Spark data-series generator agrees with the local one. */
 class SynthDataSpec extends SparkSpec {
-
-  test("lineitem generator is deterministic in (sf, seed)") {
-    val a = SynthData.lineitem(spark, 0.001).agg(sum("l_orderkey")).head.getLong(0)
-    val b = SynthData.lineitem(spark, 0.001).agg(sum("l_orderkey")).head.getLong(0)
-    assert(a == b)
-  }
-
-  test("generators scale row counts with the scale factor") {
-    assert(SynthData.lineitem(spark, 0.001).count() == 6000)
-    assert(SynthData.orders(spark, 0.001).count() == 1500)
-    assert(SynthData.customer(spark, 0.01).count() == 1500)
-    assert(SynthData.part(spark, 0.01).count() == 2000)
-  }
-
-  test("TPC-H-lite pricing aggregate matches DuckDB") {
-    val li = SynthData.lineitem(spark, 0.001).limit(2000)
-      .select("l_returnflag", "l_linestatus", "l_extendedprice", "l_discount")
-      .cache()
-    val got = li
-      .groupBy("l_returnflag", "l_linestatus")
-      .agg(round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 2) as "revenue",
-           count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(
-      got,
-      """SELECT l_returnflag, l_linestatus,
-        |       ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 2) AS revenue,
-        |       COUNT(*) AS cnt
-        |FROM lineitem GROUP BY l_returnflag, l_linestatus""".stripMargin,
-      "lineitem" -> li)
-  }
-
-  test("zipf keys are more skewed than uniform keys") {
-    val zipfTop = SynthData.zipfKeys(spark, 20000, 1000).groupBy("k").count()
-      .orderBy(desc("count")).head.getLong(1)
-    val uniTop = SynthData.uniformKeys(spark, 20000, 1000).groupBy("k").count()
-      .orderBy(desc("count")).head.getLong(1)
-    assert(zipfTop > uniTop * 3)
-  }
 
   test("dataSeries matches the local generator for all kinds") {
     for (kind <- Seq("walk", "seismic", "astronomy")) {

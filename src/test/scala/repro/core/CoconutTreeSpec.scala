@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.index.BruteForce
+import repro.index.{BruteForce, SearchResult}
 import repro.series.{InvSAX, SaxParams, SeriesGen}
 import repro.storage.DiskModel
 
@@ -111,7 +111,7 @@ class CoconutTreeSpec extends AnyFunSuite {
   test("bulk insert preserves sorted order and query correctness") {
     val t = build(mat = false, cap = 50)
     val extra = SeriesGen.dataset("walk", 200, 64, seed = 77)
-    t.bulkInsert(extra)
+    t.bulkInsertMerge(extra)
     assert(t.size == 1200)
     val all = t.leaves.flatMap(_.entries.map(_.inv))
     assert(all == all.sorted, "global z-order must survive bulk insert")
@@ -120,13 +120,13 @@ class CoconutTreeSpec extends AnyFunSuite {
       assert(math.abs(t.exactSearch(q).dist - BruteForce.nn(combined, q).dist) < 1e-9)
     }
   }
-  test("bulk insert splits overflowing leaves at the median") {
+  test("bulk insert repacks full leaves at contiguous file positions") {
     val t = build(mat = false, cap = 50)
-    val before = t.leafCount
-    t.bulkInsert(SeriesGen.dataset("walk", 500, 64, seed = 88))
-    assert(t.leafCount > before)
-    // every split leaf must hold at least ~half capacity
-    t.leaves.foreach(l => assert(l.occupancy >= 1 && l.occupancy <= 50))
+    t.bulkInsertMerge(SeriesGen.dataset("walk", 510, 64, seed = 88))
+    assert(t.leafCount == 31)
+    assert(t.leaves.init.forall(_.occupancy == 50) && t.leaves.last.occupancy == 10)
+    var pos = 0L
+    t.leaves.foreach { l => assert(l.filePos == pos); pos += l.occupancy }
   }
   test("few large batches cost less I/O than many small batches") {
     def runBatches(sizes: Seq[Int]): Double = {
@@ -134,13 +134,22 @@ class CoconutTreeSpec extends AnyFunSuite {
       val t = CoconutTree.bulkLoad(data, p, 50, 1L << 30, disk, materialized = false)
       val s0 = disk.snapshot
       var seed = 100
-      for (sz <- sizes) { t.bulkInsert(SeriesGen.dataset("walk", sz, 64, seed)); seed += 1 }
+      for (sz <- sizes) { t.bulkInsertMerge(SeriesGen.dataset("walk", sz, 64, seed)); seed += 1 }
       disk.elapsedMs - s0.elapsedMs
     }
     val manySmall = runBatches(Seq.fill(50)(20))
     val fewLarge = runBatches(Seq(500, 500))
     assert(fewLarge < manySmall,
       s"bulk loading larger batches must be cheaper: large=$fewLarge small=$manySmall")
+  }
+  test("queries of the wrong length or with NaN, and negative radii, are rejected before any search") {
+    val t = build(mat = false)
+    val searches = Seq[Array[Double] => SearchResult](t.approxSearch(_, 1), t.exactSearch(_, 1))
+    for (q <- Seq(queries(0).take(32), Array.fill(64)(Double.NaN)); search <- searches) {
+      val e = intercept[IllegalArgumentException](search(q))
+      assert(e.getMessage.contains("query must be 64 finite values"))
+    }
+    intercept[IllegalArgumentException](t.exactSearch(queries(0), -1))
   }
   test("entries round-trip their SAX words through the stored invSAX") {
     val t = build(mat = false)
