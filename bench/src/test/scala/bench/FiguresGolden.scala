@@ -5,8 +5,6 @@ import java.nio.file.{Files, Paths}
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.bench.Experiments
-
 /** Every table the `jobs` entrypoints print (Fig 8a–8f, 9a, 9b, 9c–9f,
   * 10a–10c), in their order and exactly as they print it, compared byte for
   * byte with `figures.golden.txt`. Modelled I/O is deterministic, so any
@@ -16,12 +14,10 @@ import repro.bench.Experiments
   */
 class FiguresGolden extends AnyFunSuite {
   private def render(): String = {
-    val (space, fill) = Experiments.fig8c()
-    val (c, d, e, f) = Experiments.fig9cdef()
-    Seq(Experiments.fig8a(), Experiments.fig8b(), space, fill,
-        Experiments.fig8de(materialized = true), Experiments.fig8de(materialized = false),
-        Experiments.fig8f(), Experiments.fig9a(), Experiments.fig9b(), c, d, e, f,
-        Experiments.fig10a(), Experiments.fig10bc("astronomy"), Experiments.fig10bc("seismic"))
+    import Figures._
+    val (space, fill) = fig8c
+    val (c, d, e, f) = fig9cdef
+    Seq(fig8a, fig8b, space, fill, fig8d, fig8e, fig8f, fig9a, fig9b, c, d, e, f, fig10a, fig10b, fig10c)
       .map(_.render + "\n").mkString
   }
 

@@ -3,8 +3,8 @@ package repro.baselines
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import repro.index.{SearchResult, SeriesIndex}
-import repro.series.{SaxParams, Series}
+import repro.index.{Nearest, SearchResult, SeriesIndex}
+import repro.series.SaxParams
 import repro.storage.{DiskModel, SimFile}
 
 /** DSTree baseline [56]: a data-adaptive segmentation tree built through
@@ -34,7 +34,6 @@ final class DSTree private (
     val disk: DiskModel,
     private val indexFile: SimFile,
     val leafCapacity: Int,
-    private val stats: Array[(Array[Double], Array[Double])],
 ) extends SeriesIndex {
   import DSTree.Node
 
@@ -71,43 +70,32 @@ final class DSTree private (
     math.sqrt(acc)
   }
 
-  private def scanLeaf(leaf: Node, q: Array[Double], bsf0: Double, id0: Long): (Double, Long, Long) = {
-    var bsf = bsf0; var bestId = id0; var visited = 0L
+  /** Read `leaf` and refine every member into `best`. */
+  private def scanLeaf(leaf: Node, best: Nearest): Unit = {
     indexFile.accessScattered(leaf.ids.length.toLong, write = false)
-    leaf.ids.foreach { id =>
-      val d2 = Series.squaredEuclideanAbandon(data(id), q, bsf * bsf)
-      visited += 1
-      if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = id }
-    }
-    (bsf, bestId, visited)
+    leaf.ids.foreach(best.offer)
   }
 
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
+    val best = new Nearest(q, data, params.n)
     val (qm, qs) = DSTree.segmentStats(q, params.w)
     var n = root
     while (!n.isLeaf) n = if (nodeLb(qm, qs, n.left) <= nodeLb(qm, qs, n.right)) n.left else n.right
-    val (bsf, id, v) = scanLeaf(n, q, Double.PositiveInfinity, -1L)
-    SearchResult(id, bsf, v)
+    scanLeaf(n, best)
+    best.result
   }
 
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
+    val best = new Nearest(q, data, params.n).seed(approxSearch(q, radius))
     val (qm, qs) = DSTree.segmentStats(q, params.w)
-    val approx = approxSearch(q, radius)
-    var bsf = approx.dist; var bestId = approx.id; var visited = approx.visitedRecords
     val pq = mutable.PriorityQueue.empty[(Double, Node)](Ordering.by(-_._1))
     pq.enqueue((nodeLb(qm, qs, root), root))
-    var continue = true
-    while (pq.nonEmpty && continue) {
-      val (lb, n) = pq.dequeue()
-      if (lb >= bsf) continue = false
-      else if (!n.isLeaf) {
-        pq.enqueue((nodeLb(qm, qs, n.left), n.left), (nodeLb(qm, qs, n.right), n.right))
-      } else {
-        val (b, id, v) = scanLeaf(n, q, bsf, bestId)
-        bsf = b; bestId = id; visited += v
-      }
+    while (pq.nonEmpty && pq.head._1 < best.dist) {
+      val n = pq.dequeue()._2
+      if (n.isLeaf) scanLeaf(n, best)
+      else pq.enqueue((nodeLb(qm, qs, n.left), n.left), (nodeLb(qm, qs, n.right), n.right))
     }
-    SearchResult(bestId, bsf, visited)
+    best.result
   }
 }
 
@@ -205,6 +193,6 @@ object DSTree {
       }
       i += 1
     }
-    new DSTree(p, data, root, disk, indexFile, leafCapacity, stats)
+    new DSTree(p, data, root, disk, indexFile, leafCapacity)
   }
 }

@@ -3,8 +3,7 @@ package repro.baselines
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import repro.core.Entry
-import repro.index.{SearchResult, SeriesIndex}
+import repro.index.{Nearest, SearchResult, SeriesIndex}
 import repro.series.{SAX, SaxParams, Series}
 import repro.storage.{DiskModel, SimFile}
 
@@ -76,11 +75,11 @@ final class ISaxIndex private[baselines] (
   def leafCount: Int = collectLeaves.size
   def avgLeafFill: Double = {
     val ls = collectLeaves
-    if (ls.isEmpty) 0.0 else ls.map(_.entries.length.toDouble / leafCapacity).sum / ls.size
+    if (ls.isEmpty) 0.0 else ls.map(_.ids.length.toDouble / leafCapacity).sum / ls.size
   }
   /** Split-scattered leaves allocate individually. */
   def storagePages: Long =
-    collectLeaves.map(l => SeriesIndex.pages(l.entries.length.toLong * indexFile.recordBytes)).sum
+    collectLeaves.map(l => SeriesIndex.pages(l.ids.length.toLong * indexFile.recordBytes)).sum
 
   // ------------------------------------------------------------------ build
 
@@ -120,20 +119,20 @@ final class ISaxIndex private[baselines] (
     var appended = 0L
     for ((leaf, ids) <- byLeaf) {
       val wasOnDisk = leaf.onDisk
-      if (wasOnDisk) indexFile.accessScattered(leaf.entries.length.toLong, write = false)
-      leaf.entries ++= ids.map(id => Entry(0L, id))
+      if (wasOnDisk) indexFile.accessScattered(leaf.ids.length.toLong, write = false)
+      leaf.ids ++= ids
       // Split while over capacity, collecting the resulting leaves.
       val result = ArrayBuffer.empty[Node]
       val work = mutable.Queue(leaf)
       while (work.nonEmpty) {
         val nd = work.dequeue()
-        if (nd.entries.length > leafCapacity && split(nd)) {
+        if (nd.ids.length > leafCapacity && split(nd)) {
           work.enqueue(nd.left); work.enqueue(nd.right)
         } else result += nd
       }
       result.foreach { l =>
-        if (wasOnDisk) indexFile.accessScattered(l.entries.length.toLong, write = true)
-        else appended += l.entries.length
+        if (wasOnDisk) indexFile.accessScattered(l.ids.length.toLong, write = true)
+        else appended += l.ids.length
         l.onDisk = true
       }
     }
@@ -165,10 +164,10 @@ final class ISaxIndex private[baselines] (
     while (j < params.w) {
       if (nd.lens(j) < params.bits) {
         var ones = 0
-        nd.entries.foreach { e =>
-          if (((words(e.id)(j) >>> (params.bits - (nd.lens(j) + 1))) & 1) == 1) ones += 1
+        nd.ids.foreach { id =>
+          if (((words(id)(j) >>> (params.bits - (nd.lens(j) + 1))) & 1) == 1) ones += 1
         }
-        val balance = math.min(ones, nd.entries.length - ones)
+        val balance = math.min(ones, nd.ids.length - ones)
         if (balance > bestBalance) { bestBalance = balance; bestSeg = j }
       }
       j += 1
@@ -181,11 +180,11 @@ final class ISaxIndex private[baselines] (
     rSyms(bestSeg) = (nd.symbols(bestSeg) << 1) | 1
     nd.left = new Node(lSyms, lLens); nd.right = new Node(rSyms, rLens)
     nd.splitSeg = bestSeg
-    nd.entries.foreach { e =>
-      val bit = (words(e.id)(bestSeg) >>> (params.bits - (nd.lens(bestSeg) + 1))) & 1
-      (if (bit == 0) nd.left else nd.right).entries += e
+    nd.ids.foreach { id =>
+      val bit = (words(id)(bestSeg) >>> (params.bits - (nd.lens(bestSeg) + 1))) & 1
+      (if (bit == 0) nd.left else nd.right).ids += id
     }
-    nd.entries = ArrayBuffer.empty
+    nd.ids = ArrayBuffer.empty
     true
   }
 
@@ -206,56 +205,50 @@ final class ISaxIndex private[baselines] (
     n
   }
 
-  private def scanLeaf(leaf: Node, q: Array[Double], bsf0: Double, id0: Long): (Double, Long, Long) = {
-    var bsf = bsf0; var bestId = id0; var visited = 0L
+  /** Read `leaf` and refine every member into `best`. */
+  private def scanLeaf(leaf: Node, best: Nearest): Unit = {
     if (materialized) {
-      indexFile.accessScattered(leaf.entries.length.toLong, write = false)
+      indexFile.accessScattered(leaf.ids.length.toLong, write = false)
     } else if (!leaf.materializedLeaf) {
       // ADS+ materializes the leaf on first touch during query answering:
       // read the minimal leaf, fetch every member's raw series, write the
       // refined leaf.
-      indexFile.accessScattered(leaf.entries.length.toLong, write = false)
-      leaf.entries.foreach(e => rawFile.readRecord(e.id.toLong))
-      matFile.accessScattered(leaf.entries.length.toLong, write = true)
+      indexFile.accessScattered(leaf.ids.length.toLong, write = false)
+      leaf.ids.foreach(id => rawFile.readRecord(id.toLong))
+      matFile.accessScattered(leaf.ids.length.toLong, write = true)
       leaf.materializedLeaf = true
     } else {
-      matFile.accessScattered(leaf.entries.length.toLong, write = false)
+      matFile.accessScattered(leaf.ids.length.toLong, write = false)
     }
-    leaf.entries.foreach { e =>
-      val d2 = Series.squaredEuclideanAbandon(data(e.id), q, bsf * bsf)
-      visited += 1
-      if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = e.id }
-    }
-    (bsf, bestId, visited)
+    leaf.ids.foreach(best.offer)
   }
 
   /** Approximate search: the single most promising leaf (`radius` has no
     * meaning for a non-contiguous prefix tree and is ignored).
     */
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
+    val best = new Nearest(q, data, params.n)
     require(size > 0, "empty index")
-    val word = SAX.sax(q, params)
-    val (bsf, id, visited) = scanLeaf(promisingLeaf(word), q, Double.PositiveInfinity, -1L)
-    SearchResult(id, bsf, visited)
+    scanLeaf(promisingLeaf(SAX.sax(q, params)), best)
+    best.result
   }
 
-  /** Exact search via SIMS [62]. */
+  /** Exact search via SIMS [62]: the summaries whose MINDIST is below the
+    * approximate answer, fetched in raw-file order (a series' position in
+    * the raw file is its id).
+    */
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
-    val approx = approxSearch(q, radius)
+    val best = new Nearest(q, data, params.n).seed(approxSearch(q, radius))
     val qPaa = Series.paa(q, params.w)
-    var bsf = approx.dist; var bestId = approx.id; var visited = approx.visitedRecords
+    val cands = ArrayBuffer.empty[Nearest.Candidate]
     var i = 0
     while (i < size) {
       val md = SAX.minDistPaaToSax(qPaa, words(i), params)
-      if (md < bsf) {
-        rawFile.readRecord(i.toLong)
-        visited += 1
-        val d2 = Series.squaredEuclideanAbandon(data(i), q, bsf * bsf)
-        if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = i }
-      }
+      if (md < best.dist) cands += Nearest.Candidate(i, i, md)
       i += 1
     }
-    SearchResult(bestId, bsf, visited)
+    best.fetch(cands.sortInPlace()(Nearest.byPos), rawFile)
+    best.result
   }
 }
 
@@ -266,7 +259,8 @@ object ISaxIndex {
     * next bit into two children.
     */
   final class Node(val symbols: Array[Int], val lens: Array[Int]) {
-    var entries: ArrayBuffer[Entry] = ArrayBuffer.empty
+    /** Ids (raw-file positions) of the series in this leaf. */
+    var ids: ArrayBuffer[Int] = ArrayBuffer.empty
     var left: Node = _
     var right: Node = _
     var splitSeg: Int = -1

@@ -2,7 +2,7 @@ package repro.baselines
 
 import scala.collection.mutable
 
-import repro.index.{SearchResult, SeriesIndex}
+import repro.index.{Nearest, SearchResult, SeriesIndex}
 import repro.series.{SaxParams, Series}
 import repro.storage.{DiskModel, ExternalSort, SimFile}
 
@@ -58,73 +58,38 @@ final class RTreeSTR private (
     math.sqrt(acc * params.n / params.w)
   }
 
-  /** Scan leaf `l`, charging its (contiguous) read, folding into the bsf.
+  /** Read leaf `l` (contiguous) and refine its members into `best`.
     * `fetchCap` bounds non-materialized raw fetches for approximate search
-    * (exact search passes MaxValue — it must verify every unpruned entry).
+    * (exact search must verify every unpruned entry).
     */
-  private def scanLeaf(l: Int, q: Array[Double], qPaa: Array[Double],
-                       bsf0: Double, id0: Long,
-                       fetchCap: Int = Int.MaxValue): (Double, Long, Long) = {
-    var bsf = bsf0; var bestId = id0; var visited = 0L
+  private def scanLeaf(l: Int, qPaa: Array[Double], best: Nearest, fetchCap: Int = Int.MaxValue): Unit = {
     indexFile.readRange(leafStarts(l).toLong, (leafStarts(l + 1) - leafStarts(l)).toLong)
-    if (materialized) {
-      var i = leafStarts(l)
-      while (i < leafStarts(l + 1)) {
-        val id = order(i)
-        val d2 = Series.squaredEuclideanAbandon(data(id), q, bsf * bsf)
-        visited += 1
-        if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = id }
-        i += 1
-      }
-    } else {
+    val ids = order.slice(leafStarts(l), leafStarts(l + 1))
+    if (materialized) ids.foreach(best.offer)
+    else {
       // R-tree+: rank leaf members by their PAA lower bound, fetch raw
       // series in that order with early abandon.
-      val ranked = (leafStarts(l) until leafStarts(l + 1)).map { i =>
-        val id = order(i)
-        (Series.paaLowerBound(qPaa, paas(id), params.n), id)
-      }.sortBy(_._1)
-      var k = 0
-      var continue = true
-      while (k < ranked.length && continue && visited < fetchCap) {
-        val (lb, id) = ranked(k)
-        if (lb >= bsf) continue = false
-        else {
-          rawFile.readRecord(id.toLong)
-          visited += 1
-          val d2 = Series.squaredEuclideanAbandon(data(id), q, bsf * bsf)
-          if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = id }
-        }
-        k += 1
-      }
+      val cands = ids.map(id => Nearest.Candidate(id, id, Series.paaLowerBound(qPaa, paas(id), params.n)))
+      best.fetch(cands.sorted(Nearest.byLb), rawFile, fetchCap)
     }
-    (bsf, bestId, visited)
   }
 
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
+    val best = new Nearest(q, data, params.n)
     val qPaa = Series.paa(q, params.w)
-    val best = (0 until leafCount).minBy(l => mbrMinDist(qPaa, leafMbr(l)))
-    val (bsf, id, visited) =
-      scanLeaf(best, q, qPaa, Double.PositiveInfinity, -1L,
-               fetchCap = repro.core.CoconutTree.ApproxPageFetch * (2 * radius + 1))
-    SearchResult(id, bsf, visited)
+    val leaf = (0 until leafCount).minBy(l => mbrMinDist(qPaa, leafMbr(l)))
+    scanLeaf(leaf, qPaa, best, Nearest.ApproxPageFetch * (2 * radius + 1))
+    best.result
   }
 
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
+    val best = new Nearest(q, data, params.n)
     val qPaa = Series.paa(q, params.w)
-    var bsf = Double.PositiveInfinity; var bestId = -1L; var visited = 0L
     val pq = mutable.PriorityQueue.empty[(Double, Int)](Ordering.by(-_._1))
     var l = 0
     while (l < leafCount) { pq.enqueue((mbrMinDist(qPaa, leafMbr(l)), l)); l += 1 }
-    var continue = true
-    while (pq.nonEmpty && continue) {
-      val (md, leaf) = pq.dequeue()
-      if (md >= bsf) continue = false
-      else {
-        val (b, id, v) = scanLeaf(leaf, q, qPaa, bsf, bestId)
-        bsf = b; bestId = id; visited += v
-      }
-    }
-    SearchResult(bestId, bsf, visited)
+    while (pq.nonEmpty && pq.head._1 < best.dist) scanLeaf(pq.dequeue()._2, qPaa, best)
+    best.result
   }
 }
 

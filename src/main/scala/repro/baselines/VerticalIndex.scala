@@ -46,9 +46,11 @@ final class VerticalIndex private (
   }
 
   /** Stepwise filter-and-refine scan. Returns the exact NN: after the last
-    * level the accumulated distance IS the exact ED (orthonormal Haar).
+    * level the accumulated distance IS the exact ED (orthonormal Haar), so
+    * the last level's refine leaves no candidate below the best-so-far.
     */
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
+    SeriesIndex.checkQuery(q, params.n)
     val qc = VerticalIndex.haar(q)
     val lb2 = new Array[Double](size) // accumulated partial distances
     var candidates = Array.tabulate(size)(identity)
@@ -73,13 +75,6 @@ final class VerticalIndex private (
       candidates = candidates.filter(i => i != best && lb2(i) < bsf2)
       l += 1
     }
-    // Refine any survivors of the last level (their lb2 is already exact
-    // only if all levels were accumulated; be safe and finish them).
-    candidates.foreach { i =>
-      var d2 = lb2(i)
-      visited += 1
-      if (d2 < bsf2) { bsf2 = d2; bsfId = i.toLong }
-    }
     SearchResult(bsfId, math.sqrt(bsf2), visited)
   }
 
@@ -87,6 +82,7 @@ final class VerticalIndex private (
     * with the best partial bound after a fixed number of levels.
     */
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
+    SeriesIndex.checkQuery(q, params.n)
     val qc = VerticalIndex.haar(q)
     val lvls = math.min(starts.length - 1, 3 + radius)
     val lb2 = new Array[Double](size)

@@ -64,22 +64,19 @@ object Experiments {
   // ------------------------------------------------------------- Figure 8a/8b
 
   /** Fig. 8a: materialized index construction time vs available memory. */
-  def fig8a(cfg: Cfg = Cfg()): Table = {
-    val data = cfg.data
-    val systems = Seq("CTreeFull", "CTrieFull", "ADSFull", "R-tree", "Vertical", "DSTree")
-    Table.build("Fig 8a — construction, materialized (modelled I/O seconds)",
-                "s", memoryConfigs.map(_._1), systems) { put =>
-      for ((label, frac) <- memoryConfigs; s <- systems)
-        put(s, label, buildSeconds(s, cfg, frac, data))
-    }
-  }
+  def fig8a(cfg: Cfg = Cfg()): Table =
+    constructionTable("Fig 8a — construction, materialized (modelled I/O seconds)",
+                      Seq("CTreeFull", "CTrieFull", "ADSFull", "R-tree", "Vertical", "DSTree"), cfg)
 
   /** Fig. 8b: non-materialized index construction time vs available memory. */
-  def fig8b(cfg: Cfg = Cfg()): Table = {
+  def fig8b(cfg: Cfg = Cfg()): Table =
+    constructionTable("Fig 8b — construction, non-materialized (modelled I/O seconds)",
+                      Seq("CTree", "CTrie", "ADS+", "R-tree+"), cfg)
+
+  /** Construction seconds of `systems` at every memory configuration. */
+  private def constructionTable(title: String, systems: Seq[String], cfg: Cfg): Table = {
     val data = cfg.data
-    val systems = Seq("CTree", "CTrie", "ADS+", "R-tree+")
-    Table.build("Fig 8b — construction, non-materialized (modelled I/O seconds)",
-                "s", memoryConfigs.map(_._1), systems) { put =>
+    Table.build(title, "s", memoryConfigs.map(_._1), systems) { put =>
       for ((label, frac) <- memoryConfigs; s <- systems)
         put(s, label, buildSeconds(s, cfg, frac, data))
     }
@@ -172,36 +169,28 @@ object Experiments {
   }
 
   /** Fig. 9a: exact query time vs data size. */
-  def fig9a(sizes: Seq[Int] = Seq(2500, 5000, 10000, 20000), base: Cfg = Cfg()): Table = {
-    val systems = Seq("CTreeFull", "CTree", "ADSFull", "ADS+", "R-tree", "R-tree+")
-    Table.build("Fig 9a — exact search (modelled I/O ms per query)",
-                "ms", sizes.map(n => s"N=$n"), systems) { put =>
-      for (n <- sizes) {
-        val cfg = base.copy(n = n)
-        val data = cfg.data; val queries = cfg.queries
-        for (s <- systems) {
-          val (idx, disk) = build(s, data, cfg.p, cfg.leafCap, (cfg.rawBytes * 0.1).toLong)
-          put(s, s"N=$n", queryStats(idx, disk, queries, exact = true)._1)
-        }
-      }
-    }
-  }
+  def fig9a(sizes: Seq[Int] = Seq(2500, 5000, 10000, 20000), base: Cfg = Cfg()): Table =
+    queryTable("Fig 9a — exact search (modelled I/O ms per query)",
+               Seq("CTreeFull", "CTree", "ADSFull", "ADS+", "R-tree", "R-tree+"), exact = true, sizes, base)
 
   /** Fig. 9b: approximate query time vs data size. */
-  def fig9b(sizes: Seq[Int] = Seq(2500, 5000, 10000, 20000), base: Cfg = Cfg()): Table = {
-    val systems = Seq("CTreeFull", "CTree", "ADSFull", "ADS+")
-    Table.build("Fig 9b — approximate search (modelled I/O ms per query)",
-                "ms", sizes.map(n => s"N=$n"), systems) { put =>
+  def fig9b(sizes: Seq[Int] = Seq(2500, 5000, 10000, 20000), base: Cfg = Cfg()): Table =
+    queryTable("Fig 9b — approximate search (modelled I/O ms per query)",
+               Seq("CTreeFull", "CTree", "ADSFull", "ADS+"), exact = false, sizes, base)
+
+  /** Query milliseconds of `systems` at every data size, mem=10%. */
+  private def queryTable(title: String, systems: Seq[String], exact: Boolean,
+                         sizes: Seq[Int], base: Cfg): Table =
+    Table.build(title, "ms", sizes.map(n => s"N=$n"), systems) { put =>
       for (n <- sizes) {
         val cfg = base.copy(n = n)
         val data = cfg.data; val queries = cfg.queries
         for (s <- systems) {
           val (idx, disk) = build(s, data, cfg.p, cfg.leafCap, (cfg.rawBytes * 0.1).toLong)
-          put(s, s"N=$n", queryStats(idx, disk, queries, exact = false)._1)
+          put(s, s"N=$n", queryStats(idx, disk, queries, exact)._1)
         }
       }
     }
-  }
 
   // --------------------------------------------------------- Figure 9c/d/e/f
 
@@ -258,45 +247,37 @@ object Experiments {
       for (b <- batchSizes) {
         val nBatches = (cfg.n - half + b - 1) / b
         val queryEvery = math.max(1, nBatches / 10)
-        // Coconut-Tree: initial bulk load + per-batch sorted merge.
-        locally {
+        // `start` builds the index over the first half on a fresh disk and
+        // returns it with its call that inserts `data(from until until)`.
+        def run(system: String)(start: DiskModel => (SeriesIndex, (Int, Int) => Unit)): Unit = {
           val disk = newDisk()
+          val (idx, insert) = start(disk)
+          var qi = 0
+          var off = half
+          var batchNo = 0
+          while (off < cfg.n) {
+            val end = math.min(cfg.n, off + b)
+            insert(off, end)
+            batchNo += 1
+            if (batchNo % queryEvery == 0 && qi < 20) {
+              idx.exactSearch(queries(qi % queries.length)); idx.exactSearch(queries((qi + 1) % queries.length))
+              qi += 2
+            }
+            off = end
+          }
+          put(system, s"batch=$b", disk.elapsedMs / 1000.0)
+        }
+        // Coconut-Tree: initial bulk load + per-batch sorted merge.
+        run("CTree") { disk =>
           val t = CoconutTree.bulkLoad(data.slice(0, half), cfg.p, cfg.leafCap, memBytes, disk,
                                        materialized = false)
-          var qi = 0
-          var off = half
-          var batchNo = 0
-          while (off < cfg.n) {
-            val end = math.min(cfg.n, off + b)
-            t.bulkInsertMerge(data.slice(off, end))
-            batchNo += 1
-            if (batchNo % queryEvery == 0 && qi < 20) {
-              t.exactSearch(queries(qi % queries.length)); t.exactSearch(queries((qi + 1) % queries.length))
-              qi += 2
-            }
-            off = end
-          }
-          put("CTree", s"batch=$b", disk.elapsedMs / 1000.0)
+          (t, (from, until) => t.bulkInsertMerge(data.slice(from, until)))
         }
         // ADS+: initial build + top-down batch inserts.
-        locally {
-          val disk = newDisk()
+        run("ADS+") { disk =>
           val a = ISaxIndex.empty(data, cfg.p, cfg.leafCap, memBytes, disk, materialized = false)
           a.insertSlice(0, half)
-          var qi = 0
-          var off = half
-          var batchNo = 0
-          while (off < cfg.n) {
-            val end = math.min(cfg.n, off + b)
-            a.insertSlice(off, end)
-            batchNo += 1
-            if (batchNo % queryEvery == 0 && qi < 20) {
-              a.exactSearch(queries(qi % queries.length)); a.exactSearch(queries((qi + 1) % queries.length))
-              qi += 2
-            }
-            off = end
-          }
-          put("ADS+", s"batch=$b", disk.elapsedMs / 1000.0)
+          (a, a.insertSlice)
         }
       }
     }

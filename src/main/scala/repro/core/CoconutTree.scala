@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import repro.index.{SearchResult, SeriesIndex}
+import repro.index.{Nearest, SearchResult, SeriesIndex}
 import repro.series.{InvSAX, SAX, SaxParams, Series}
 import repro.storage.{DiskModel, ExternalSort, SimFile}
 
@@ -73,61 +73,30 @@ final class CoconutTree private[core] (
 
   private def word(inv: Long): Array[Int] = InvSAX.fromLong(inv, params)
 
-  /** Scan candidates of one leaf range, updating best-so-far.
-    * Materialized leaves already carry the raw series (no extra I/O beyond
-    * the leaf read); non-materialized leaves fetch raw series in ascending
-    * MINDIST order with early abandon, and at most `fetchCap` fetches
-    * (Algorithm 4 retrieves "the data series in a radius around the
-    * insertion point, usually a disk page", not a whole 2000-entry leaf's
-    * worth of random raw-file reads).
-    */
-  private def scanCandidates(entries: Iterable[Entry], q: Array[Double], qPaa: Array[Double],
-                             fetchCap: Int): (Double, Long, Long) = {
-    var bsf = Double.PositiveInfinity; var bestId = -1L; var visited = 0L
-    if (materialized) {
-      for (e <- entries) {
-        val d2 = Series.squaredEuclideanAbandon(data(e.id), q, bsf * bsf)
-        visited += 1
-        if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = e.id }
-      }
-    } else {
-      val ranked = entries.toArray
-        .map(e => (SAX.minDistPaaToSax(qPaa, word(e.inv), params), e))
-        .sortBy(_._1)
-      var i = 0
-      var continue = true
-      while (i < ranked.length && continue && visited < fetchCap) {
-        val (md, e) = ranked(i)
-        if (md >= bsf) continue = false
-        else {
-          rawFile.readRecord(e.id.toLong)
-          visited += 1
-          val d2 = Series.squaredEuclideanAbandon(data(e.id), q, bsf * bsf)
-          if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = e.id }
-        }
-        i += 1
-      }
-    }
-    (bsf, bestId, visited)
-  }
-
   /** Approximate search (Algorithm 4): read the leaf where the query's
     * invSAX would reside plus `radius` neighboring leaves on each side —
     * one sequential range read, since Coconut leaves are contiguous.
+    * Materialized leaves already carry the raw series; non-materialized
+    * ones fetch raw series in ascending MINDIST order, at most
+    * `ApproxPageFetch` per radius step (Algorithm 4 retrieves "the data
+    * series in a radius around the insertion point, usually a disk page",
+    * not a whole leaf's worth of random raw-file reads).
     */
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
-    require(q.length == params.n && q.forall(java.lang.Double.isFinite),
-      s"query must be ${params.n} finite values, like the indexed series; " +
-      s"got ${q.length} values, ${q.count(v => !java.lang.Double.isFinite(v))} of them NaN or infinite")
+    val best = new Nearest(q, data, params.n)
     require(radius >= 0, s"radius must be non-negative, got $radius")
     val qPaa = Series.paa(q, params.w)
     val qInv = InvSAX.toLong(SAX.fromPaa(qPaa, params), params)
     val c = leafOf(qInv)
     val window = leaves.slice(math.max(0, c - radius), math.min(leaves.length, c + radius + 1))
     indexFile.readRange(window.head.filePos, window.map(_.occupancy.toLong).sum)
-    val (bsf, bestId, visited) = scanCandidates(window.flatMap(_.entries), q, qPaa,
-                                                CoconutTree.ApproxPageFetch * (2 * radius + 1))
-    SearchResult(bestId, bsf, visited)
+    val entries = window.flatMap(_.entries)
+    if (materialized) entries.foreach(e => best.offer(e.id))
+    else {
+      val cands = entries.map(e => Nearest.Candidate(e.id, e.id, SAX.minDistPaaToSax(qPaa, word(e.inv), params)))
+      best.fetch(cands.sortInPlace()(Nearest.byLb), rawFile, Nearest.ApproxPageFetch * (2 * radius + 1))
+    }
+    best.result
   }
 
   /** Exact search: CoconutTreeSIMS (Algorithm 5). Approximate search seeds
@@ -139,10 +108,9 @@ final class CoconutTree private[core] (
     * z-order.
     */
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
-    val approx = approxSearch(q, radius)
+    val best = new Nearest(q, data, params.n).seed(approxSearch(q, radius))
     val qPaa = Series.paa(q, params.w)
-    var bsf = approx.dist; var bestId = approx.id; var visited = approx.visitedRecords
-    val cands = ArrayBuffer.empty[CoconutTree.Candidate]
+    val cands = ArrayBuffer.empty[Nearest.Candidate]
     var li = 0
     while (li < leaves.length) {
       val leaf = leaves(li)
@@ -150,20 +118,14 @@ final class CoconutTree private[core] (
       while (i < leaf.occupancy) {
         val e = leaf.entries(i)
         val md = SAX.minDistPaaToSax(qPaa, word(e.inv), params)
-        if (md < bsf) cands += CoconutTree.Candidate(if (materialized) leaf.filePos + i else e.id, e.id, md)
+        if (md < best.dist) cands += Nearest.Candidate(if (materialized) leaf.filePos + i else e.id, e.id, md)
         i += 1
       }
       li += 1
     }
-    val file = if (materialized) indexFile else rawFile
     rawFile.resetCursor()
-    for (c <- cands.sortInPlace()(CoconutTree.byPos); if c.md < bsf) {
-      file.readRecord(c.pos)
-      visited += 1
-      val d2 = Series.squaredEuclideanAbandon(data(c.id), q, bsf * bsf)
-      if (d2 < bsf * bsf) { bsf = math.sqrt(d2); bestId = c.id }
-    }
-    SearchResult(bestId, bsf, visited)
+    best.fetch(cands.sortInPlace()(Nearest.byPos), if (materialized) indexFile else rawFile)
+    best.result
   }
 
   /** Bulk insert by re-running bulk loading over batch ∪ index (the
@@ -191,14 +153,6 @@ final class CoconutTree private[core] (
 
 object CoconutTree {
 
-  /** Raw-series fetches per radius step that a non-materialized
-    * approximate search will pay ("usually a disk page", Algorithm 4).
-    */
-  val ApproxPageFetch: Int = 10
-
-  /** A SIMS candidate: its record's position in the file it is fetched from. */
-  private final case class Candidate(pos: Long, id: Int, md: Double)
-  private val byPos: Ordering[Candidate] = (a, b) => java.lang.Long.compare(a.pos, b.pos)
   private val byInv: Ordering[Entry] = (a, b) => java.lang.Long.compare(a.inv, b.inv)
 
   /** Bottom-up bulk load (Algorithm 3): the shared build with leaves packed

@@ -57,6 +57,14 @@ object SeriesIndex {
   /** Filesystem allocation granularity used by [[SeriesIndex.storagePages]]. */
   val AllocPageBytes: Long = 4096L
   def pages(bytes: Long): Long = (bytes + AllocPageBytes - 1) / AllocPageBytes
+
+  /** Every search's entry check: the query must have the indexed series'
+    * length `n` and hold only finite values.
+    */
+  def checkQuery(q: Array[Double], n: Int): Unit =
+    require(q.length == n && q.forall(java.lang.Double.isFinite),
+      s"query must be $n finite values, like the indexed series; " +
+      s"got ${q.length} values, ${q.count(v => !java.lang.Double.isFinite(v))} of them NaN or infinite")
 }
 
 object BruteForce {

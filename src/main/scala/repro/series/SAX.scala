@@ -76,21 +76,4 @@ object SAX {
     }
     math.sqrt(acc * p.n / p.w)
   }
-
-  /** MINDIST between two SAX words (used for node-level pruning): per
-    * segment, the gap between the two regions (0 if they touch/overlap).
-    */
-  def minDistSaxToSax(a: Array[Int], b: Array[Int], p: SaxParams): Double = {
-    require(a.length == p.w && b.length == p.w)
-    var acc = 0.0; var j = 0
-    while (j < p.w) {
-      if (a(j) != b(j)) {
-        val (loSym, hiSym) = if (a(j) < b(j)) (a(j), b(j)) else (b(j), a(j))
-        val gap = regionLow(hiSym, p) - regionHigh(loSym, p)
-        if (gap > 0) acc += gap * gap
-      }
-      j += 1
-    }
-    math.sqrt(acc * p.n / p.w)
-  }
 }

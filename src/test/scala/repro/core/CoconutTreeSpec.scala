@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.index.{BruteForce, SearchResult}
+import repro.index.BruteForce
 import repro.series.{InvSAX, SaxParams, SeriesGen}
 import repro.storage.DiskModel
 
@@ -142,13 +142,8 @@ class CoconutTreeSpec extends AnyFunSuite {
     assert(fewLarge < manySmall,
       s"bulk loading larger batches must be cheaper: large=$fewLarge small=$manySmall")
   }
-  test("queries of the wrong length or with NaN, and negative radii, are rejected before any search") {
+  test("negative radii are rejected before any search") {
     val t = build(mat = false)
-    val searches = Seq[Array[Double] => SearchResult](t.approxSearch(_, 1), t.exactSearch(_, 1))
-    for (q <- Seq(queries(0).take(32), Array.fill(64)(Double.NaN)); search <- searches) {
-      val e = intercept[IllegalArgumentException](search(q))
-      assert(e.getMessage.contains("query must be 64 finite values"))
-    }
     intercept[IllegalArgumentException](t.exactSearch(queries(0), -1))
   }
   test("entries round-trip their SAX words through the stored invSAX") {

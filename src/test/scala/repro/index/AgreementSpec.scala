@@ -28,6 +28,17 @@ class AgreementSpec extends AnyFunSuite {
     VerticalIndex.build(data, p, new DiskModel()),
   )
 
+  test("all ten indexes reject a query of the wrong length or with NaN") {
+    val p = SaxParams(n = 64, w = 8, bits = 6)
+    val data = SeriesGen.dataset("walk", 200, 64, seed = 71)
+    val bad = Seq(SeriesGen.queries("walk", 1, 64, seed = 71)(0).take(32), Array.fill(64)(Double.NaN))
+    for (idx <- allIndexes(data, p, cap = 30); q <- bad;
+         search <- Seq[Array[Double] => SearchResult](idx.approxSearch(_), idx.exactSearch(_))) {
+      val e = intercept[IllegalArgumentException](search(q))
+      assert(e.getMessage.contains("query must be 64 finite values"), idx.name)
+    }
+  }
+
   for (kind <- Seq("walk", "seismic", "astronomy")) {
     test(s"all ten indexes agree with brute force on the $kind dataset") {
       val p = SaxParams(n = 64, w = 8, bits = 6)

@@ -86,20 +86,6 @@ class SAXSpec extends AnyFunSuite {
       assert(lb <= Series.euclidean(q, s) + 1e-9)
     }
   }
-  test("minDistSaxToSax lower-bounds the true distance") {
-    (0 until 500).foreach { _ =>
-      val a = SeriesGen.randomWalk(rnd.nextInt(10000), 32)
-      val b = SeriesGen.randomWalk(rnd.nextInt(10000) + 20000, 32)
-      val lb = SAX.minDistSaxToSax(SAX.sax(a, p), SAX.sax(b, p), p)
-      assert(lb <= Series.euclidean(a, b) + 1e-9)
-    }
-  }
-  test("minDistSaxToSax of identical words is zero and it is symmetric") {
-    val a = SAX.sax(SeriesGen.randomWalk(1, 32), p)
-    val b = SAX.sax(SeriesGen.randomWalk(2, 32), p)
-    assert(SAX.minDistSaxToSax(a, a, p) == 0.0)
-    assert(math.abs(SAX.minDistSaxToSax(a, b, p) - SAX.minDistSaxToSax(b, a, p)) < 1e-12)
-  }
   test("minDistPaaToSax grows with region separation") {
     val paaLow = Array.fill(p.w)(-3.0)
     val near = Array.fill(p.w)(1)
