@@ -3,7 +3,7 @@ package repro.baselines
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import repro.index.{Nearest, SearchResult, SeriesIndex}
+import repro.index.{Candidates, MinDist, Nearest, SearchResult, SeriesIndex, Summaries}
 import repro.series.{SAX, SaxParams, Series}
 import repro.storage.{DiskModel, SimFile}
 
@@ -53,8 +53,11 @@ final class ISaxIndex private[baselines] (
               if (materialized) rawBytes + sumBytes else sumBytes)
   private val matFile: SimFile = disk.file("ads-mat", rawBytes + sumBytes)
 
-  /** SAX words for all series (computed lazily per slice on insert). */
-  private val words: Array[Array[Int]] = new Array[Array[Int]](data.length)
+  /** SAX symbols of all series in raw-file order (filled per slice on
+    * insert); the index has no sort key.
+    */
+  private val store =
+    new Summaries(params, Array.emptyLongArray, Array.range(0, data.length), new Array[Byte](data.length * params.w))
   private val root = mutable.LongMap.empty[Node]
   private val pending = ArrayBuffer.empty[Int] // buffered series ids (the FBL)
   private val bufferCapacity: Int =
@@ -93,7 +96,7 @@ final class ISaxIndex private[baselines] (
     if (materialized) { rawFile.resetCursor(); rawFile.readRange(from.toLong, (until - from).toLong) }
     var i = from
     while (i < until) {
-      words(i) = SAX.sax(data(i), params)
+      store.setSymbols(i, SAX.sax(data(i), params))
       pending += i
       if (pending.length >= bufferCapacity) flush()
       i += 1
@@ -115,7 +118,7 @@ final class ISaxIndex private[baselines] (
   private def flush(): Unit = {
     if (pending.isEmpty) return
     val byLeaf = mutable.LinkedHashMap.empty[Node, ArrayBuffer[Int]]
-    for (id <- pending) byLeaf.getOrElseUpdate(routeToLeaf(words(id)), ArrayBuffer.empty) += id
+    for (id <- pending) byLeaf.getOrElseUpdate(routeToLeaf(store.syms, id * params.w), ArrayBuffer.empty) += id
     var appended = 0L
     for ((leaf, ids) <- byLeaf) {
       val wasOnDisk = leaf.onDisk
@@ -140,15 +143,22 @@ final class ISaxIndex private[baselines] (
     pending.clear()
   }
 
-  /** Descend (creating the root child if needed) to the target leaf. */
-  private def routeToLeaf(word: Array[Int]): Node = {
-    val key = ISaxIndex.rootKey(word, params)
-    var n = root.getOrElseUpdate(key, {
-      val syms = Array.tabulate(params.w)(j => (word(j) >>> (params.bits - 1)) & 1)
-      new Node(syms, Array.fill(params.w)(1))
-    })
+  /** Descend (creating the root child if needed) to the target leaf of
+    * the word whose symbols are `syms(off until off + w)`.
+    */
+  private def routeToLeaf(syms: Array[Byte], off: Int): Node = {
+    val key = ISaxIndex.rootKey(syms, off, params)
+    descend(root.getOrElseUpdate(key, {
+      val prefix = Array.tabulate(params.w)(j => ((syms(off + j) & 0xff) >>> (params.bits - 1)) & 1)
+      new Node(prefix, Array.fill(params.w)(1))
+    }), syms, off)
+  }
+
+  /** Follow the word's next prefix bit at each split down to a leaf. */
+  private def descend(start: Node, syms: Array[Byte], off: Int): Node = {
+    var n = start
     while (!n.isLeaf) {
-      val bit = (word(n.splitSeg) >>> (params.bits - (n.lens(n.splitSeg) + 1))) & 1
+      val bit = ((syms(off + n.splitSeg) & 0xff) >>> (params.bits - (n.lens(n.splitSeg) + 1))) & 1
       n = if (bit == 0) n.left else n.right
     }
     n
@@ -165,7 +175,7 @@ final class ISaxIndex private[baselines] (
       if (nd.lens(j) < params.bits) {
         var ones = 0
         nd.ids.foreach { id =>
-          if (((words(id)(j) >>> (params.bits - (nd.lens(j) + 1))) & 1) == 1) ones += 1
+          if (((store.sym(id, j) >>> (params.bits - (nd.lens(j) + 1))) & 1) == 1) ones += 1
         }
         val balance = math.min(ones, nd.ids.length - ones)
         if (balance > bestBalance) { bestBalance = balance; bestSeg = j }
@@ -181,7 +191,7 @@ final class ISaxIndex private[baselines] (
     nd.left = new Node(lSyms, lLens); nd.right = new Node(rSyms, rLens)
     nd.splitSeg = bestSeg
     nd.ids.foreach { id =>
-      val bit = (words(id)(bestSeg) >>> (params.bits - (nd.lens(bestSeg) + 1))) & 1
+      val bit = (store.sym(id, bestSeg) >>> (params.bits - (nd.lens(bestSeg) + 1))) & 1
       (if (bit == 0) nd.left else nd.right).ids += id
     }
     nd.ids = ArrayBuffer.empty
@@ -195,14 +205,9 @@ final class ISaxIndex private[baselines] (
     * MINDIST.
     */
   private def promisingLeaf(word: Array[Int]): Node = {
-    val start = root.getOrElse(ISaxIndex.rootKey(word, params),
-                               root.values.minBy(n => ISaxIndex.prefixMinDist(word, n, params)))
-    var n = start
-    while (!n.isLeaf) {
-      val bit = (word(n.splitSeg) >>> (params.bits - (n.lens(n.splitSeg) + 1))) & 1
-      n = if (bit == 0) n.left else n.right
-    }
-    n
+    val syms = word.map(_.toByte)
+    descend(root.getOrElse(ISaxIndex.rootKey(syms, 0, params),
+                           root.values.minBy(n => ISaxIndex.prefixMinDist(word, n, params))), syms, 0)
   }
 
   /** Read `leaf` and refine every member into `best`. */
@@ -239,15 +244,9 @@ final class ISaxIndex private[baselines] (
     */
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
     val best = new Nearest(q, data, params.n).seed(approxSearch(q, radius))
-    val qPaa = Series.paa(q, params.w)
-    val cands = ArrayBuffer.empty[Nearest.Candidate]
-    var i = 0
-    while (i < size) {
-      val md = SAX.minDistPaaToSax(qPaa, words(i), params)
-      if (md < best.dist) cands += Nearest.Candidate(i, i, md)
-      i += 1
-    }
-    best.fetch(cands.sortInPlace()(Nearest.byPos), rawFile)
+    val cands = new Candidates
+    new MinDist(Series.paa(q, params.w), params).scan(store, 0, size, best.dist, byIndex = true, cands)
+    best.fetch(cands, rawFile)
     best.result
   }
 }
@@ -272,9 +271,12 @@ object ISaxIndex {
     def isLeaf: Boolean = left == null
   }
 
-  private[baselines] def rootKey(word: Array[Int], p: SaxParams): Long = {
+  /** Root child of the word whose symbols are `syms(off until off + w)`:
+    * the top bit of every symbol.
+    */
+  private[baselines] def rootKey(syms: Array[Byte], off: Int, p: SaxParams): Long = {
     var k = 0L; var j = 0
-    while (j < p.w) { k = (k << 1) | ((word(j) >>> (p.bits - 1)) & 1); j += 1 }
+    while (j < p.w) { k = (k << 1) | (((syms(off + j) & 0xff) >>> (p.bits - 1)) & 1); j += 1 }
     k
   }
 
@@ -299,6 +301,7 @@ object ISaxIndex {
 
   /** Build an ADSFull (`materialized = true`) or ADS+ (`materialized =
     * false`) index over all of `data` with an FBL buffer of `memBytes`.
+    * Symbols are stored one byte each, so `p.bits` must be at most 8.
     */
   def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
@@ -312,7 +315,8 @@ object ISaxIndex {
     */
   def empty(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
-    require(data.nonEmpty)
+    require(data.nonEmpty, "cannot index an empty dataset")
+    Summaries.requireByteSymbols(p)
     new ISaxIndex(if (materialized) "ADSFull" else "ADS+",
                   p, data, materialized, disk, leafCapacity, memBytes)
   }

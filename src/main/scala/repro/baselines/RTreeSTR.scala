@@ -2,7 +2,7 @@ package repro.baselines
 
 import scala.collection.mutable
 
-import repro.index.{Nearest, SearchResult, SeriesIndex}
+import repro.index.{Candidates, Nearest, SearchResult, SeriesIndex}
 import repro.series.{SaxParams, Series}
 import repro.storage.{DiskModel, ExternalSort, SimFile}
 
@@ -64,13 +64,17 @@ final class RTreeSTR private (
     */
   private def scanLeaf(l: Int, qPaa: Array[Double], best: Nearest, fetchCap: Int = Int.MaxValue): Unit = {
     indexFile.readRange(leafStarts(l).toLong, (leafStarts(l + 1) - leafStarts(l)).toLong)
-    val ids = order.slice(leafStarts(l), leafStarts(l + 1))
-    if (materialized) ids.foreach(best.offer)
+    if (materialized) (leafStarts(l) until leafStarts(l + 1)).foreach(i => best.offer(order(i)))
     else {
       // R-tree+: rank leaf members by their PAA lower bound, fetch raw
       // series in that order with early abandon.
-      val cands = ids.map(id => Nearest.Candidate(id, id, Series.paaLowerBound(qPaa, paas(id), params.n)))
-      best.fetch(cands.sorted(Nearest.byLb), rawFile, fetchCap)
+      val cands = new Candidates
+      for (i <- leafStarts(l) until leafStarts(l + 1)) {
+        val id = order(i)
+        cands.add(id, id, Series.paaLowerBound(qPaa, paas(id), params.n))
+      }
+      cands.sortByLb()
+      best.fetch(cands, rawFile, fetchCap)
     }
   }
 

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 
+import repro.index.SeriesIndex
 import repro.series.{InvSAX, SAX, SaxParams, Series}
 
 /** Coconut-Tree as a distributed Spark dataflow — the paper's bulk-loading
@@ -96,6 +97,7 @@ object CoconutSpark {
     */
   def approxSearch(spark: SparkSession, index: Index, q: Array[Double],
                    radius: Int = 0): (Long, Double) = {
+    SeriesIndex.checkQuery(q, index.p.n)
     import spark.implicits._
     val qz = q
     val qInv = InvSAX.ofSeries(qz, index.p)
@@ -118,6 +120,7 @@ object CoconutSpark {
     */
   def exactSearch(spark: SparkSession, index: Index, q: Array[Double],
                   radius: Int = 1): (Long, Double) = {
+    SeriesIndex.checkQuery(q, index.p.n)
     import spark.implicits._
     val qz = q
     val approx = approxSearch(spark, index, qz, radius)
@@ -142,6 +145,7 @@ object CoconutSpark {
     */
   def visitedRecords(spark: SparkSession, index: Index, q: Array[Double],
                      radius: Int = 1): Long = {
+    SeriesIndex.checkQuery(q, index.p.n)
     val (_, bsf) = approxSearch(spark, index, q, radius)
     val p = index.p
     val qPaa = Series.paa(q, p.w)

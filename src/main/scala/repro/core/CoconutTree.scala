@@ -1,20 +1,36 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.immutable.ArraySeq
 
-import repro.index.{Nearest, SearchResult, SeriesIndex}
+import repro.index.{Candidates, MinDist, Nearest, SearchResult, SeriesIndex, Summaries}
 import repro.series.{InvSAX, SAX, SaxParams, Series}
 import repro.storage.{DiskModel, ExternalSort, SimFile}
+import repro.util.StableSort
 
-/** One index entry: sortable summarization + position in the raw file. */
+/** One index record as [[Leaf.entries]] reads it from the summary store:
+  * its invSAX key and its position in the raw file.
+  */
 final case class Entry(inv: Long, id: Int)
 
-/** A leaf holding invSAX-sorted entries; `filePos` is its first record's
-  * position in the (simulated) index file, used for I/O accounting.
+/** A leaf: `occupancy` consecutive records of the index's summary store,
+  * from record `start`. The leaves are contiguous in store order, so
+  * `start` is also the leaf's first record's position in the (simulated)
+  * index file, used for I/O accounting.
   */
-final class Leaf(val capacity: Int, val entries: Array[Entry], val filePos: Long) {
-  def key: Long = entries.head.inv
-  def occupancy: Int = entries.length
+final class Leaf(val capacity: Int, val start: Int, val occupancy: Int, store: Summaries) {
+  def filePos: Long = start
+  def key: Long = store.keys(start)
+
+  /** The leaf's records as entries, read from the store: no copy, one
+    * small [[Entry]] made per `apply`.
+    */
+  val entries: IndexedSeq[Entry] = new IndexedSeq[Entry] {
+    def length: Int = occupancy
+    def apply(i: Int): Entry = {
+      if (i < 0 || i >= occupancy) throw new IndexOutOfBoundsException(s"$i is not in [0, $occupancy)")
+      Entry(store.keys(start + i), store.ids(start + i))
+    }
+  }
 }
 
 /** Coconut-Tree (paper §4.3, Algorithm 3): a balanced, contiguous,
@@ -35,7 +51,9 @@ final class CoconutTree private[core] (
     val name: String,
     val params: SaxParams,
     private var data: Array[Array[Double]],
-    val leaves: ArrayBuffer[Leaf],
+    private var store: Summaries,
+    cuts: collection.IndexedSeq[Int],
+    leafCapacity: Int,
     val materialized: Boolean,
     val disk: DiskModel,
     private val rawFile: SimFile,
@@ -45,10 +63,14 @@ final class CoconutTree private[core] (
       */
     private val perLeafAlloc: Boolean,
 ) extends SeriesIndex {
+  private var leafDir: Array[Leaf] = CoconutTree.pack(store, cuts, leafCapacity)
+  private var leafKeys: Array[Long] = leafDir.map(_.key)
+
+  /** The leaf directory, in key order. */
+  def leaves: IndexedSeq[Leaf] = ArraySeq.unsafeWrapArray(leafDir)
   def size: Int = data.length
-  def leafCount: Int = leaves.length
-  def avgLeafFill: Double =
-    if (leaves.isEmpty) 0.0 else leaves.map(l => l.occupancy.toDouble / l.capacity).sum / leaves.length
+  def leafCount: Int = leafDir.length
+  def avgLeafFill: Double = leaves.map(l => l.occupancy.toDouble / l.capacity).sum / leafDir.length
   /** Contiguously packed leaves: one extent of occupied bytes (per-leaf
     * allocations for the prefix-split trie variant).
     */
@@ -56,10 +78,7 @@ final class CoconutTree private[core] (
     if (perLeafAlloc)
       leaves.map(l => SeriesIndex.pages(l.occupancy.toLong * indexFile.recordBytes)).sum
     else
-      SeriesIndex.pages(leaves.map(_.occupancy.toLong).sum * indexFile.recordBytes)
-
-  private var leafKeys: Array[Long] = leaves.map(_.key).toArray
-  private def rebuildKeys(): Unit = leafKeys = leaves.map(_.key).toArray
+      SeriesIndex.pages(store.size.toLong * indexFile.recordBytes)
 
   /** Rightmost leaf whose first key is ≤ `inv` (the leaf `inv` belongs to). */
   private def leafOf(inv: Long): Int = {
@@ -70,8 +89,6 @@ final class CoconutTree private[core] (
     }
     ans
   }
-
-  private def word(inv: Long): Array[Int] = InvSAX.fromLong(inv, params)
 
   /** Approximate search (Algorithm 4): read the leaf where the query's
     * invSAX would reside plus `radius` neighboring leaves on each side —
@@ -86,21 +103,25 @@ final class CoconutTree private[core] (
     val best = new Nearest(q, data, params.n)
     require(radius >= 0, s"radius must be non-negative, got $radius")
     val qPaa = Series.paa(q, params.w)
-    val qInv = InvSAX.toLong(SAX.fromPaa(qPaa, params), params)
-    val c = leafOf(qInv)
-    val window = leaves.slice(math.max(0, c - radius), math.min(leaves.length, c + radius + 1))
-    indexFile.readRange(window.head.filePos, window.map(_.occupancy.toLong).sum)
-    val entries = window.flatMap(_.entries)
-    if (materialized) entries.foreach(e => best.offer(e.id))
-    else {
-      val cands = entries.map(e => Nearest.Candidate(e.id, e.id, SAX.minDistPaaToSax(qPaa, word(e.inv), params)))
-      best.fetch(cands.sortInPlace()(Nearest.byLb), rawFile, Nearest.ApproxPageFetch * (2 * radius + 1))
+    val c = leafOf(InvSAX.toLong(SAX.fromPaa(qPaa, params), params))
+    val from = leafDir(math.max(0, c - radius)).start
+    val last = leafDir(math.min(leafDir.length - 1L, c.toLong + radius).toInt)
+    val until = last.start + last.occupancy
+    indexFile.readRange(from.toLong, (until - from).toLong)
+    if (materialized) {
+      var i = from
+      while (i < until) { best.offer(store.ids(i)); i += 1 }
+    } else {
+      val cands = new Candidates
+      new MinDist(qPaa, params).scan(store, from, until, Double.PositiveInfinity, byIndex = false, cands)
+      cands.sortByLb()
+      best.fetch(cands, rawFile, math.min(Int.MaxValue, Nearest.ApproxPageFetch * (2L * radius + 1)).toInt)
     }
     best.result
   }
 
   /** Exact search: CoconutTreeSIMS (Algorithm 5). Approximate search seeds
-    * the best-so-far; the in-memory summarization array (aligned with the
+    * the best-so-far; the in-memory summary store (aligned with the
     * on-disk leaf order) is scanned, and the unpruned records are fetched
     * in file order — the index file's for CTreeFull, the raw file's for
     * CTree — in one skip-sequential pass (the paper's "synchronized
@@ -109,22 +130,11 @@ final class CoconutTree private[core] (
     */
   def exactSearch(q: Array[Double], radius: Int): SearchResult = {
     val best = new Nearest(q, data, params.n).seed(approxSearch(q, radius))
-    val qPaa = Series.paa(q, params.w)
-    val cands = ArrayBuffer.empty[Nearest.Candidate]
-    var li = 0
-    while (li < leaves.length) {
-      val leaf = leaves(li)
-      var i = 0
-      while (i < leaf.occupancy) {
-        val e = leaf.entries(i)
-        val md = SAX.minDistPaaToSax(qPaa, word(e.inv), params)
-        if (md < best.dist) cands += Nearest.Candidate(if (materialized) leaf.filePos + i else e.id, e.id, md)
-        i += 1
-      }
-      li += 1
-    }
+    val cands = new Candidates
+    new MinDist(Series.paa(q, params.w), params).scan(store, 0, store.size, best.dist, byIndex = materialized, cands)
+    if (!materialized) cands.sortByPos()
     rawFile.resetCursor()
-    best.fetch(cands.sortInPlace()(Nearest.byPos), if (materialized) indexFile else rawFile)
+    best.fetch(cands, if (materialized) indexFile else rawFile)
     best.result
   }
 
@@ -143,17 +153,14 @@ final class CoconutTree private[core] (
     indexFile.resetCursor(); indexFile.readRange(0, base.toLong)               // read the sorted index
     indexFile.appendRange((base + batch.length).toLong)                        // write the merged index
     data = data ++ batch
-    val run = CoconutTree.sortedRun(data, base, params, Array.concat(leaves.map(_.entries).toSeq: _*))
-    val cap = leaves.head.capacity
-    leaves.clear()
-    leaves ++= CoconutTree.pack(run, CoconutTree.fixedCuts(run.length, cap), cap)
-    rebuildKeys()
+    store = Summaries.merge(store, CoconutTree.sortedRun(data, base, params))
+    val cap = leafDir.head.capacity
+    leafDir = CoconutTree.pack(store, CoconutTree.fixedCuts(store.size, cap), cap)
+    leafKeys = leafDir.map(_.key)
   }
 }
 
 object CoconutTree {
-
-  private val byInv: Ordering[Entry] = (a, b) => java.lang.Long.compare(a.inv, b.inv)
 
   /** Bottom-up bulk load (Algorithm 3): the shared build with leaves packed
     * to `fill`·capacity. When the external sort already wrote the final
@@ -166,8 +173,8 @@ object CoconutTree {
                memBytes: Long, disk: DiskModel, materialized: Boolean,
                fill: Double = 1.0): CoconutTree =
     build("CTree", data, p, leafCapacity, memBytes, disk, materialized) { (run, _, indexFile, runs) =>
-      if (runs == 1) indexFile.appendRange(run.length.toLong)
-      fixedCuts(run.length, math.max(1, (leafCapacity * fill).toInt))
+      if (runs == 1) indexFile.appendRange(run.size.toLong)
+      fixedCuts(run.size, math.max(1, (leafCapacity * fill).toInt))
     }
 
   /** The build Coconut-Tree and Coconut-Trie share (Algorithms 2–3, lines
@@ -179,13 +186,19 @@ object CoconutTree {
     * raw and index files and the number of sort runs, and charges the
     * variant's own leaf writes.
     *
+    * Symbols are stored one byte each and keys are one Long, so the
+    * parameters must have `bits ≤ 8` and `w·bits ≤ 64`.
+    *
     * @param kind "CTree" or "CTrie"; names the index and its files
     */
   private[core] def build(kind: String, data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
                           memBytes: Long, disk: DiskModel, materialized: Boolean)
-                         (layout: (Array[Entry], SimFile, SimFile, Int) => collection.IndexedSeq[Int])
+                         (layout: (Summaries, SimFile, SimFile, Int) => collection.IndexedSeq[Int])
       : CoconutTree = {
     require(data.nonEmpty, "cannot bulk-load an empty dataset")
+    Summaries.requireByteSymbols(p)
+    require(p.totalBits <= 64,
+      s"invSAX keys are one Long, so w·bits must be at most 64; got ${p.w}·${p.bits} = ${p.totalBits}")
     val n = data.length.toLong
     val rawBytes = data(0).length * 8
     val recBytes = p.wordBytes + 8 + (if (materialized) rawBytes else 0) // invSAX + offset (+ series)
@@ -194,34 +207,43 @@ object CoconutTree {
     val indexFile = disk.file(s"$files-index", recBytes)
     rawFile.scan(n)
     val runs = ExternalSort.charge(disk.file(s"$files-sort", recBytes), n, memBytes)
-    val run = sortedRun(data, 0, p, Array.empty)
+    val run = sortedRun(data, 0, p)
     val cuts = layout(run, rawFile, indexFile, runs)
-    new CoconutTree(kind + (if (materialized) "Full" else ""), p, data,
-                    pack(run, cuts, leafCapacity), materialized, disk, rawFile, indexFile,
-                    perLeafAlloc = kind == "CTrie")
+    new CoconutTree(kind + (if (materialized) "Full" else ""), p, data, run, cuts, leafCapacity,
+                    materialized, disk, rawFile, indexFile, perLeafAlloc = kind == "CTrie")
   }
 
-  /** The invSAX-sorted run: `prefix` followed by the summaries of
-    * `data(from until data.length)`, stably sorted, so equal keys keep
-    * prefix-first, then raw-file order. A sorted `prefix` makes the sort a
-    * merge of the two runs.
+  /** The invSAX-sorted summaries of `data(from until data.length)`, stably
+    * sorted, so equal keys keep raw-file order. Each series' SAX word gives
+    * both its key and its stored symbols.
     */
-  private def sortedRun(data: Array[Array[Double]], from: Int, p: SaxParams,
-                        prefix: Array[Entry]): Array[Entry] = {
-    val run = java.util.Arrays.copyOf(prefix, prefix.length + data.length - from)
-    var i = from
-    while (i < data.length) { run(prefix.length + i - from) = Entry(InvSAX.ofSeries(data(i), p), i); i += 1 }
-    java.util.Arrays.sort(run, byInv)
-    run
+  private def sortedRun(data: Array[Array[Double]], from: Int, p: SaxParams): Summaries = {
+    val m = data.length - from
+    val w = p.w
+    val rawSyms = new Array[Byte](m * w)
+    val keys = new Array[Long](m)
+    val ids = Array.range(from, data.length)
+    var i = 0
+    while (i < m) {
+      val word = SAX.sax(data(from + i), p)
+      var j = 0
+      while (j < w) { rawSyms(i * w + j) = word(j).toByte; j += 1 }
+      keys(i) = InvSAX.toLong(word, p)
+      i += 1
+    }
+    StableSort.byKey(keys, ids)
+    val syms = new Array[Byte](m * w)
+    i = 0
+    while (i < m) { System.arraycopy(rawSyms, (ids(i) - from) * w, syms, i * w, w); i += 1 }
+    new Summaries(p, keys, ids, syms)
   }
 
   /** Cut points of consecutive groups of `size` entries. */
   private def fixedCuts(n: Int, size: Int): IndexedSeq[Int] = (0 until n by size) :+ n
 
-  /** Leaf k holds `run(cuts(k) until cuts(k + 1))`, at index-file position
-    * `cuts(k)`: the leaves are contiguous and in run order.
+  /** Leaf k holds records `cuts(k) until cuts(k + 1)` of the store: the
+    * leaves are contiguous and in store order.
     */
-  private def pack(run: Array[Entry], cuts: collection.IndexedSeq[Int], capacity: Int): ArrayBuffer[Leaf] =
-    ArrayBuffer.tabulate(cuts.length - 1)(k =>
-      new Leaf(capacity, java.util.Arrays.copyOfRange(run, cuts(k), cuts(k + 1)), cuts(k)))
+  private def pack(store: Summaries, cuts: collection.IndexedSeq[Int], capacity: Int): Array[Leaf] =
+    Array.tabulate(cuts.length - 1)(k => new Leaf(capacity, cuts(k), cuts(k + 1) - cuts(k), store))
 }

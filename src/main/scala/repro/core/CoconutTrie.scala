@@ -2,6 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
+import repro.index.Summaries
 import repro.series.SaxParams
 import repro.storage.{DiskModel, SimFile}
 
@@ -42,9 +43,9 @@ object CoconutTrie {
   /** Cut points of the compacted trie's leaves in the sorted run, with the
     * I/O of building and compacting them charged to the files.
     */
-  private def prefixCuts(run: Array[Entry], p: SaxParams, leafCapacity: Int, memBytes: Long,
+  private def prefixCuts(run: Summaries, p: SaxParams, leafCapacity: Int, memBytes: Long,
                          materialized: Boolean, rawFile: SimFile, indexFile: SimFile): ArrayBuffer[Int] = {
-    val n = run.length
+    val n = run.size
 
     // Prefix-split the sorted run on interleaved bits (≡ compacted trie).
     val cuts = ArrayBuffer(0)
@@ -53,7 +54,7 @@ object CoconutTrie {
       var a = lo; var b = hi
       while (a < b) {
         val mid = (a + b) >>> 1
-        val raw = run(mid).inv ^ Long.MinValue
+        val raw = run.keys(mid) ^ Long.MinValue
         if (((raw >>> (63 - bit)) & 1L) == 0L) a = mid + 1 else b = mid
       }
       a

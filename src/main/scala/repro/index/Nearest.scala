@@ -2,6 +2,7 @@ package repro.index
 
 import repro.series.Series
 import repro.storage.SimFile
+import repro.util.StableSort
 
 /** A query's best-so-far and the one refine step every leaf-based index
   * shares (paper Algorithms 4 and 5): compute a candidate's early-abandoning
@@ -30,15 +31,14 @@ final class Nearest(q: Array[Double], data: Array[Array[Double]], n: Int) {
   }
 
   /** Read each candidate whose lower bound is below [[dist]] from `file`
-    * at its position and refine it, in the given order, stopping after
+    * at its position and refine it, in the buffer's order, stopping after
     * `cap` reads. In lower-bound order this fetches the most promising
     * records first; in file order it is a skip-sequential scan.
     */
-  def fetch(cands: collection.IndexedSeq[Nearest.Candidate], file: SimFile, cap: Int = Int.MaxValue): Unit = {
+  def fetch(cands: Candidates, file: SimFile, cap: Int = Int.MaxValue): Unit = {
     var k = 0; var fetched = 0
-    while (k < cands.length && fetched < cap) {
-      val c = cands(k)
-      if (c.lb < dist) { file.readRecord(c.pos); offer(c.id); fetched += 1 }
+    while (k < cands.size && fetched < cap) {
+      if (cands.lb(k) < dist) { file.readRecord(cands.pos(k).toLong); offer(cands.id(k)); fetched += 1 }
       k += 1
     }
   }
@@ -52,18 +52,49 @@ object Nearest {
     * approximate search will pay ("usually a disk page", Algorithm 4).
     */
   val ApproxPageFetch: Int = 10
+}
 
-  /** A record to refine: its position in the file it is read from, the id
-    * of its raw series, and a lower bound on its distance to the query.
-    */
-  final case class Candidate(pos: Long, id: Int, lb: Double)
+/** Records to refine, in primitive buffers: for candidate `k`, its position
+  * `pos(k)` in the file it is read from, the id `id(k)` of its raw series,
+  * and a lower bound `lb(k)` on its distance to the query.
+  */
+final class Candidates {
+  var pos: Array[Int] = new Array[Int](64)
+  var id: Array[Int] = new Array[Int](64)
+  var lb: Array[Double] = new Array[Double](64)
+  var size: Int = 0
+
+  def add(p: Int, i: Int, bound: Double): Unit = {
+    if (size == pos.length) {
+      pos = java.util.Arrays.copyOf(pos, 2 * size)
+      id = java.util.Arrays.copyOf(id, 2 * size)
+      lb = java.util.Arrays.copyOf(lb, 2 * size)
+    }
+    pos(size) = p; id(size) = i; lb(size) = bound
+    size += 1
+  }
 
   /** File order, for a skip-sequential scan. */
-  val byPos: Ordering[Candidate] = (a, b) => java.lang.Long.compare(a.pos, b.pos)
+  def sortByPos(): Unit = sortBy(k => pos(k).toLong)
 
-  /** Lower-bound order. Sort with it stably: MINDIST ties at 0.0 are
-    * common, and the collection order among them decides which records a
-    * capped fetch reads.
+  /** Lower-bound order, stable: MINDIST ties at 0.0 are common, and the
+    * insertion order among them decides which records a capped fetch reads.
+    * Lower bounds are non-negative, so their bit patterns order as they do.
     */
-  val byLb: Ordering[Candidate] = (a, b) => java.lang.Double.compare(a.lb, b.lb)
+  def sortByLb(): Unit = sortBy(k => java.lang.Double.doubleToRawLongBits(lb(k)))
+
+  private def sortBy(key: Int => Long): Unit = {
+    val keys = Array.tabulate(size)(key)
+    val order = Array.range(0, size)
+    StableSort.byKey(keys, order)
+    permute(order)
+  }
+
+  /** Reorder so that candidate `k` becomes the old candidate `order(k)`. */
+  private def permute(order: Array[Int]): Unit = {
+    val p = new Array[Int](size); val i = new Array[Int](size); val l = new Array[Double](size)
+    var k = 0
+    while (k < size) { p(k) = pos(order(k)); i(k) = id(order(k)); l(k) = lb(order(k)); k += 1 }
+    pos = p; id = i; lb = l
+  }
 }

@@ -26,7 +26,12 @@ object Gaussian {
   }
 
   /** Inverse standard normal CDF Φ⁻¹(p), Acklam's algorithm refined with one
-    * Halley step; |relative error| < 1e-9 over (0,1).
+    * Halley step. The Halley step refines against [[cdf]], whose [[erfc]]
+    * has an absolute error of up to 1.2e-7, so the result carries that
+    * error rather than Acklam's: 3.8e-8 absolute at p = 0.5, 5.7e-8 at
+    * p = 0.75, and up to 1.05e-7 absolute (2.8e-6 relative, near the centre
+    * where the quantiles are small) at the cardinality-256 breakpoints.
+    * That is far below one breakpoint spacing, which is all SAX needs.
     */
   def inverseCdf(p: Double): Double = {
     require(p > 0.0 && p < 1.0, s"quantile argument must be in (0,1), got $p")

@@ -118,4 +118,10 @@ class ISaxIndexSpec extends AnyFunSuite {
     val a = ISaxIndex.empty(data, p, 50, 1L << 30, new DiskModel(), materialized = false)
     intercept[IllegalArgumentException](a.approxSearch(queries(0)))
   }
+  test("an index with more than 8 bits per segment is rejected") {
+    val e = intercept[IllegalArgumentException] {
+      ISaxIndex.empty(data, SaxParams(64, 8, 9), 50, 1L << 30, new DiskModel(), materialized = false)
+    }
+    assert(e.getMessage.contains("bits per segment must be at most 8"))
+  }
 }

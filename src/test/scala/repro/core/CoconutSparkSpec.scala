@@ -167,6 +167,14 @@ class CoconutSparkSpec extends SparkSpec {
     got.foreach(r => assert(r.getAs[Long]("iv") == InvSAX.ofSeries(localData(r.getAs[Long]("id").toInt), p)))
   }
 
+  test("queries of the wrong length or all NaN are rejected before any plan runs") {
+    for (q <- Seq(queries(0).take(16), Array.fill(32)(Double.NaN))) {
+      intercept[IllegalArgumentException](CoconutSpark.approxSearch(spark, index, q))
+      intercept[IllegalArgumentException](CoconutSpark.exactSearch(spark, index, q))
+      intercept[IllegalArgumentException](CoconutSpark.visitedRecords(spark, index, q))
+    }
+  }
+
   test("index reload from disk reproduces identical bounds") {
     val reloaded = CoconutSpark.load(spark, indexPath, p)
     assert(reloaded.bounds.map(b => (b.minInv, b.maxInv, b.count)).toSeq ==

@@ -2,8 +2,8 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.index.BruteForce
-import repro.series.{InvSAX, SaxParams, SeriesGen}
+import repro.index.{BruteForce, Candidates, Nearest, SearchResult}
+import repro.series.{InvSAX, SAX, SaxParams, Series, SeriesGen}
 import repro.storage.DiskModel
 
 class CoconutTreeSpec extends AnyFunSuite {
@@ -146,6 +146,13 @@ class CoconutTreeSpec extends AnyFunSuite {
     val t = build(mat = false)
     intercept[IllegalArgumentException](t.exactSearch(queries(0), -1))
   }
+  test("an oversized radius searches the whole index") {
+    val t = build(mat = true)
+    val r = t.approxSearch(queries(0), Int.MaxValue)
+    assert(r == t.approxSearch(queries(0), t.leafCount) && r.visitedRecords == 1000)
+    assert(math.abs(build(mat = false).exactSearch(queries(0), Int.MaxValue).dist -
+                    BruteForce.nn(data, queries(0)).dist) < 1e-9)
+  }
   test("entries round-trip their SAX words through the stored invSAX") {
     val t = build(mat = false)
     t.leaves.flatMap(_.entries).take(100).foreach { e =>
@@ -153,6 +160,88 @@ class CoconutTreeSpec extends AnyFunSuite {
       assert(InvSAX.toLong(word, p) == e.inv)
     }
   }
+  test("bulkLoad rejects more than 8 bits per segment and keys wider than 64 bits") {
+    val e = intercept[IllegalArgumentException] {
+      CoconutTree.bulkLoad(data, SaxParams(64, 8, 9), 50, 1L << 30, new DiskModel(), materialized = false)
+    }
+    assert(e.getMessage.contains("bits per segment must be at most 8"))
+    val wide = SeriesGen.dataset("walk", 50, 72, seed = 3)
+    val e2 = intercept[IllegalArgumentException] {
+      CoconutTrie.bulkLoad(wide, SaxParams(72, 9, 8), 50, 1L << 30, new DiskModel(), materialized = false)
+    }
+    assert(e2.getMessage.contains("w·bits must be at most 64"))
+  }
+
+  // The SIMS algorithm over boxed entries that the summary store and the
+  // MINDIST kernel replaced: it charges the tree's own files, so running
+  // it on a twin tree must move the twin's disk exactly as the tree's own
+  // search moves the tree's.
+  private def refApprox(t: CoconutTree, all: Array[Array[Double]], q: Array[Double], radius: Int): SearchResult = {
+    val best = new Nearest(q, all, p.n)
+    val qPaa = Series.paa(q, p.w)
+    val qInv = InvSAX.toLong(SAX.fromPaa(qPaa, p), p)
+    val c = math.max(0, t.leaves.lastIndexWhere(_.key <= qInv))
+    val window = t.leaves.slice(math.max(0, c - radius), math.min(t.leafCount, c + radius + 1))
+    t.disk.file(if (t.materialized) "ctree-full-index" else "ctree-index", 0)
+      .readRange(window.head.filePos, window.map(_.occupancy.toLong).sum)
+    val entries = window.flatMap(_.entries)
+    if (t.materialized) entries.foreach(e => best.offer(e.id))
+    else {
+      val cands = new Candidates
+      entries.map(e => (e.id, SAX.minDistPaaToSax(qPaa, InvSAX.fromLong(e.inv, p), p)))
+        .sortBy(_._2).foreach { case (id, lb) => cands.add(id, id, lb) }
+      best.fetch(cands, t.disk.file("raw", 0), Nearest.ApproxPageFetch * (2 * radius + 1))
+    }
+    best.result
+  }
+
+  private def refExact(t: CoconutTree, all: Array[Array[Double]], q: Array[Double], radius: Int): SearchResult = {
+    val best = new Nearest(q, all, p.n).seed(refApprox(t, all, q, radius))
+    val qPaa = Series.paa(q, p.w)
+    val survivors = for {
+      l <- t.leaves; i <- 0 until l.occupancy
+      e = l.entries(i)
+      lb = SAX.minDistPaaToSax(qPaa, InvSAX.fromLong(e.inv, p), p) if lb < best.dist
+    } yield ((if (t.materialized) l.filePos + i else e.id.toLong).toInt, e.id, lb)
+    val cands = new Candidates
+    survivors.sortBy(_._1).foreach { case (pos, id, lb) => cands.add(pos, id, lb) }
+    val raw = t.disk.file("raw", 0)
+    raw.resetCursor()
+    best.fetch(cands, if (t.materialized) t.disk.file("ctree-full-index", 0) else raw)
+    best.result
+  }
+
+  test("single-leaf, all-constant layouts: searches and merges match the reference SIMS") {
+    // Constant series inside one SAX region: every key is equal, and the
+    // constant queries have MINDIST 0 to every record, far more ties than
+    // the approximate fetch cap.
+    def const(v: Double) = Array.fill(64)(v)
+    val base = Array.tabulate(300)(i => const(0.001 + 0.0001 * ((i * 37) % 300)))
+    val batch = Array.tabulate(100)(i => const(0.0015 + 0.0003 * ((i * 53) % 100)))
+    val qs = Seq(const(0.0155), const(0.02), const(-0.5), queries(0))
+    for (mat <- Seq(false, true)) {
+      val t = CoconutTree.bulkLoad(base, p, 1000, 1L << 30, new DiskModel(), materialized = mat)
+      val twin = CoconutTree.bulkLoad(base, p, 1000, 1L << 30, new DiskModel(), materialized = mat)
+      assert(t.leafCount == 1 && t.leaves.head.entries.map(_.inv).distinct.size == 1)
+      def same(all: Array[Array[Double]]): Unit =
+        for (q <- qs; radius <- Seq(0, 1, 5)) {
+          def delta(tree: CoconutTree)(body: => SearchResult) = {
+            val before = tree.disk.snapshot; val r = body; (r, tree.disk.snapshot - before)
+          }
+          assert(delta(t)(t.approxSearch(q, radius)) == delta(twin)(refApprox(twin, all, q, radius)))
+          assert(delta(t)(t.exactSearch(q, radius)) == delta(twin)(refExact(twin, all, q, radius)))
+        }
+      same(base)
+      val merged = base ++ batch
+      val oldEntries = t.leaves.flatMap(_.entries)
+      t.bulkInsertMerge(batch); twin.bulkInsertMerge(batch)
+      val added = batch.indices.map(i => Entry(InvSAX.ofSeries(batch(i), p), base.length + i))
+      assert(t.leaves.flatMap(_.entries) == (oldEntries ++ added).sortBy(_.inv))
+      assert(t.disk.snapshot == twin.disk.snapshot)
+      same(merged)
+    }
+  }
+
   test("bulkLoad rejects empty input") {
     intercept[IllegalArgumentException] {
       CoconutTree.bulkLoad(Array.empty, p, 10, 1L << 20, new DiskModel(), materialized = false)

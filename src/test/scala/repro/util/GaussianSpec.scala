@@ -35,9 +35,9 @@ class GaussianSpec extends AnyFunSuite {
     }
   }
   test("inverseCdf known quantiles") {
-    assert(math.abs(Gaussian.inverseCdf(0.5)) < 1e-7)
-    assert(math.abs(Gaussian.inverseCdf(0.975) - 1.959964) < 1e-4)
-    assert(math.abs(Gaussian.inverseCdf(0.025) + 1.959964) < 1e-4)
+    for ((p, x) <- Seq(0.5 -> 0.0, 0.75 -> 0.6744897501960817, 0.975 -> 1.959963984540054,
+                       0.25 -> -0.6744897501960817, 0.025 -> -1.959963984540054))
+      assert(math.abs(Gaussian.inverseCdf(p) - x) < 2e-7, s"p = $p")
   }
   test("inverseCdf rejects out-of-range arguments") {
     intercept[IllegalArgumentException](Gaussian.inverseCdf(0.0))
