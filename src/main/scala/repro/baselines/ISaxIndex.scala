@@ -154,13 +154,16 @@ final class ISaxIndex private[baselines] (
     }), syms, off)
   }
 
+  /** The child of internal node `n` that the word's next prefix bit selects. */
+  private def child(n: Node, syms: Array[Byte], off: Int): Node = {
+    val bit = ((syms(off + n.splitSeg) & 0xff) >>> (params.bits - (n.lens(n.splitSeg) + 1))) & 1
+    if (bit == 0) n.left else n.right
+  }
+
   /** Follow the word's next prefix bit at each split down to a leaf. */
   private def descend(start: Node, syms: Array[Byte], off: Int): Node = {
     var n = start
-    while (!n.isLeaf) {
-      val bit = ((syms(off + n.splitSeg) & 0xff) >>> (params.bits - (n.lens(n.splitSeg) + 1))) & 1
-      n = if (bit == 0) n.left else n.right
-    }
+    while (!n.isLeaf) n = child(n, syms, off)
     n
   }
 
@@ -202,12 +205,19 @@ final class ISaxIndex private[baselines] (
 
   /** The most promising leaf for a query word: structural descent when the
     * root subtree exists, otherwise the root child with minimal prefix
-    * MINDIST.
+    * MINDIST. A split on a bit that all its records share leaves one child
+    * empty (and a leaf, since only full leaves split); the descent takes
+    * the sibling instead, so the leaf it returns always holds records.
     */
   private def promisingLeaf(word: Array[Int]): Node = {
     val syms = word.map(_.toByte)
-    descend(root.getOrElse(ISaxIndex.rootKey(syms, 0, params),
-                           root.values.minBy(n => ISaxIndex.prefixMinDist(word, n, params))), syms, 0)
+    var n = root.getOrElse(ISaxIndex.rootKey(syms, 0, params),
+                           root.values.minBy(n => ISaxIndex.prefixMinDist(word, n, params)))
+    while (!n.isLeaf) {
+      val c = child(n, syms, 0)
+      n = if (c.isLeaf && c.ids.isEmpty) (if (c eq n.left) n.right else n.left) else c
+    }
+    n
   }
 
   /** Read `leaf` and refine every member into `best`. */
@@ -301,7 +311,6 @@ object ISaxIndex {
 
   /** Build an ADSFull (`materialized = true`) or ADS+ (`materialized =
     * false`) index over all of `data` with an FBL buffer of `memBytes`.
-    * Symbols are stored one byte each, so `p.bits` must be at most 8.
     */
   def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
@@ -316,7 +325,6 @@ object ISaxIndex {
   def empty(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
     require(data.nonEmpty, "cannot index an empty dataset")
-    Summaries.requireByteSymbols(p)
     new ISaxIndex(if (materialized) "ADSFull" else "ADS+",
                   p, data, materialized, disk, leafCapacity, memBytes)
   }

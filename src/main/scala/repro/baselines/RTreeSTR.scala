@@ -82,7 +82,7 @@ final class RTreeSTR private (
     val best = new Nearest(q, data, params.n)
     val qPaa = Series.paa(q, params.w)
     val leaf = (0 until leafCount).minBy(l => mbrMinDist(qPaa, leafMbr(l)))
-    scanLeaf(leaf, qPaa, best, Nearest.ApproxPageFetch * (2 * radius + 1))
+    scanLeaf(leaf, qPaa, best, Nearest.approxFetchCap(radius))
     best.result
   }
 

@@ -83,8 +83,9 @@ final class VerticalIndex private (
     */
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
     SeriesIndex.checkQuery(q, params.n)
+    require(radius >= 0, s"radius must be non-negative, got $radius")
     val qc = VerticalIndex.haar(q)
-    val lvls = math.min(starts.length - 1, 3 + radius)
+    val lvls = math.min(starts.length - 1L, 3L + radius).toInt
     val lb2 = new Array[Double](size)
     var l = 0
     while (l < lvls) {

@@ -92,17 +92,19 @@ object CoconutSpark {
   }
 
   /** Approximate search (Algorithm 4): read only the target leaf directory
-    * (± `radius` neighbors in z-order) and return the closest raw series
-    * in it. Directory partition pruning keeps the scan to those leaves.
+    * (± `radius` neighbors in z-order, clamped to the directory) and return
+    * the closest raw series in it. Directory partition pruning keeps the
+    * scan to those leaves.
     */
   def approxSearch(spark: SparkSession, index: Index, q: Array[Double],
                    radius: Int = 0): (Long, Double) = {
     SeriesIndex.checkQuery(q, index.p.n)
+    require(radius >= 0, s"radius must be non-negative, got $radius")
     import spark.implicits._
     val qz = q
     val qInv = InvSAX.ofSeries(qz, index.p)
     val c = index.leafOf(qInv)
-    val lo = math.max(0, c - radius); val hi = math.min(index.bounds.length - 1, c + radius)
+    val lo = math.max(0, c - radius); val hi = math.min(index.bounds.length - 1L, c.toLong + radius).toInt
     val leafIds = (lo to hi).map(index.bounds(_).leaf)
     val distUdf = udf((s: Seq[Double]) => Series.euclidean(s.toArray, qz))
     spark.read.parquet(index.path)

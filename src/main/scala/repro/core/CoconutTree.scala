@@ -115,7 +115,7 @@ final class CoconutTree private[core] (
       val cands = new Candidates
       new MinDist(qPaa, params).scan(store, from, until, Double.PositiveInfinity, byIndex = false, cands)
       cands.sortByLb()
-      best.fetch(cands, rawFile, math.min(Int.MaxValue, Nearest.ApproxPageFetch * (2L * radius + 1)).toInt)
+      best.fetch(cands, rawFile, Nearest.approxFetchCap(radius))
     }
     best.result
   }
@@ -186,9 +186,6 @@ object CoconutTree {
     * raw and index files and the number of sort runs, and charges the
     * variant's own leaf writes.
     *
-    * Symbols are stored one byte each and keys are one Long, so the
-    * parameters must have `bits ≤ 8` and `w·bits ≤ 64`.
-    *
     * @param kind "CTree" or "CTrie"; names the index and its files
     */
   private[core] def build(kind: String, data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
@@ -196,9 +193,6 @@ object CoconutTree {
                          (layout: (Summaries, SimFile, SimFile, Int) => collection.IndexedSeq[Int])
       : CoconutTree = {
     require(data.nonEmpty, "cannot bulk-load an empty dataset")
-    Summaries.requireByteSymbols(p)
-    require(p.totalBits <= 64,
-      s"invSAX keys are one Long, so w·bits must be at most 64; got ${p.w}·${p.bits} = ${p.totalBits}")
     val n = data.length.toLong
     val rawBytes = data(0).length * 8
     val recBytes = p.wordBytes + 8 + (if (materialized) rawBytes else 0) // invSAX + offset (+ series)

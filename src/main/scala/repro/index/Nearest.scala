@@ -52,6 +52,15 @@ object Nearest {
     * approximate search will pay ("usually a disk page", Algorithm 4).
     */
   val ApproxPageFetch: Int = 10
+
+  /** Fetch cap of a non-materialized approximate search over `radius`
+    * steps each side: `ApproxPageFetch · (2·radius + 1)`, saturating at
+    * `Int.MaxValue`, so an oversized radius fetches everything.
+    */
+  def approxFetchCap(radius: Int): Int = {
+    require(radius >= 0, s"radius must be non-negative, got $radius")
+    math.min(Int.MaxValue, ApproxPageFetch * (2L * radius + 1)).toInt
+  }
 }
 
 /** Records to refine, in primitive buffers: for candidate `k`, its position

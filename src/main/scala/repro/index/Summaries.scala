@@ -16,7 +16,6 @@ import repro.series.{SAX, SaxParams}
   * never from decoding a key.
   */
 final class Summaries(val p: SaxParams, val keys: Array[Long], val ids: Array[Int], val syms: Array[Byte]) {
-  Summaries.requireByteSymbols(p)
   require(syms.length == ids.length * p.w && (keys.isEmpty || keys.length == ids.length),
     s"columns of unequal length: ${keys.length} keys, ${ids.length} ids, ${syms.length} symbols")
 
@@ -33,10 +32,6 @@ final class Summaries(val p: SaxParams, val keys: Array[Long], val ids: Array[In
 }
 
 object Summaries {
-
-  /** Symbols are stored one byte each. */
-  def requireByteSymbols(p: SaxParams): Unit =
-    require(p.bits <= 8, s"SAX symbols are stored one byte each, so bits per segment must be at most 8; got ${p.bits}")
 
   /** Merge two key-sorted stores in one linear pass. On equal keys the
     * records of `a` come first, so the result is the stable sort of `a`

@@ -4,100 +4,60 @@ package repro.series
   *
   * `invSAX` interleaves the bits of all `w` SAX symbols so that every more
   * significant bit (across all segments) precedes every less significant
-  * bit: output bit stream is [bit 0 of seg 0..w-1, bit 1 of seg 0..w-1, …]
-  * with bit 0 the MSB of each symbol. Lexicographic order of the packed
-  * word is exactly z-order (Morton order) of the SAX symbol vector, so
-  * sorting by invSAX keeps series that are similar across *all* segments
-  * adjacent — the property the paper's bulk loading relies on.
+  * bit: the bit stream is [bit 0 of seg 0..w-1, bit 1 of seg 0..w-1, …]
+  * with bit 0 the MSB of each symbol. Order of the interleaved word is
+  * exactly z-order (Morton order) of the SAX symbol vector, so sorting by
+  * invSAX keeps series that are similar across *all* segments adjacent —
+  * the property the paper's bulk loading relies on.
   *
-  * Two encodings are provided:
-  *  - packed big-endian `Array[Byte]` (any `w·bits`), lexicographic
-  *    unsigned byte order == z-order;
-  *  - sign-flipped `Long` for `w·bits ≤ 64`, natural signed Long order ==
-  *    z-order (used as the sort key in the Spark dataflow, where a LongType
-  *    column range-partitions and carries Parquet min/max stats).
+  * The word is one sign-flipped `Long`: the stream left-aligned into 64
+  * bits (bit `i` of symbol `j` is key bit `63 − (i·w + j)`), top bit
+  * flipped, so that natural *signed* Long order equals z-order. It is the
+  * sort key of every index and of the Spark dataflow, where a LongType
+  * column range-partitions and carries Parquet min/max stats.
+  * [[SaxParams]] guarantees `w·bits ≤ 64`.
   */
 object InvSAX {
 
-  /** Algorithm 1: interleave SAX symbols into a packed big-endian word. */
-  def interleave(word: Array[Int], p: SaxParams): Array[Byte] = {
-    require(word.length == p.w)
-    val out = new Array[Byte](p.wordBytes)
-    var outBit = 0
-    var i = 0 // bit position within a symbol, MSB first
-    while (i < p.bits) {
-      var j = 0
-      while (j < p.w) {
-        val bit = (word(j) >>> (p.bits - 1 - i)) & 1
-        if (bit == 1) out(outBit >> 3) = (out(outBit >> 3) | (0x80 >>> (outBit & 7))).toByte
-        outBit += 1
-        j += 1
-      }
-      i += 1
-    }
-    out
-  }
-
-  /** Inverse of [[interleave]]: recover the SAX word from a packed invSAX. */
-  def deinterleave(inv: Array[Byte], p: SaxParams): Array[Int] = {
-    require(inv.length == p.wordBytes, s"expected ${p.wordBytes} bytes, got ${inv.length}")
-    val out = new Array[Int](p.w)
-    var outBit = 0
-    var i = 0
-    while (i < p.bits) {
-      var j = 0
-      while (j < p.w) {
-        val bit = (inv(outBit >> 3) >>> (7 - (outBit & 7))) & 1
-        out(j) = (out(j) << 1) | bit
-        outBit += 1
-        j += 1
-      }
-      i += 1
-    }
-    // Bits were appended MSB-first per symbol, so each out(j) already holds
-    // exactly `bits` bits in the right order — nothing more to do.
-    out
-  }
-
-  /** Unsigned lexicographic comparison of packed invSAX words. */
-  def compare(a: Array[Byte], b: Array[Byte]): Int = {
-    require(a.length == b.length)
-    var i = 0
-    while (i < a.length) {
-      val ai = a(i) & 0xff; val bi = b(i) & 0xff
-      if (ai != bi) return ai - bi
-      i += 1
-    }
-    0
-  }
-
-  implicit val byteOrdering: Ordering[Array[Byte]] = (a, b) => compare(a, b)
-
-  /** Sign-flipped Long encoding (requires w·bits ≤ 64): the interleaved bits
-    * left-aligned into 64 bits, top bit flipped, so that *signed* Long order
-    * equals unsigned z-order. Bijective with the packed-bytes encoding.
-    */
+  /** Algorithm 1: interleave a SAX word into its sign-flipped Long invSAX. */
   def toLong(word: Array[Int], p: SaxParams): Long = {
-    require(p.totalBits <= 64, s"invSAX word of ${p.totalBits} bits does not fit a Long")
-    val bytes = interleave(word, p)
+    require(word.length == p.w, s"expected a word of ${p.w} symbols, got ${word.length}")
+    val w = p.w; val bits = p.bits
     var v = 0L
-    var i = 0
-    while (i < 8) { v = (v << 8) | (if (i < bytes.length) bytes(i) & 0xffL else 0L); i += 1 }
+    var j = 0
+    while (j < w) {
+      val sym = word(j)
+      var i = 0 // bit position within the symbol, MSB first
+      while (i < bits) {
+        v |= ((sym >>> (bits - 1 - i)) & 1L) << (63 - (i * w + j))
+        i += 1
+      }
+      j += 1
+    }
     v ^ Long.MinValue
   }
 
   /** Recover the SAX word from a sign-flipped Long invSAX. */
   def fromLong(inv: Long, p: SaxParams): Array[Int] = {
-    require(p.totalBits <= 64)
+    val w = p.w; val bits = p.bits
     val raw = inv ^ Long.MinValue
-    val bytes = new Array[Byte](p.wordBytes)
-    var i = 0
-    while (i < p.wordBytes) { bytes(i) = ((raw >>> (56 - 8 * i)) & 0xff).toByte; i += 1 }
-    deinterleave(bytes, p)
+    val out = new Array[Int](w)
+    var j = 0
+    while (j < w) {
+      var sym = 0
+      var i = 0
+      while (i < bits) {
+        sym = (sym << 1) | ((raw >>> (63 - (i * w + j))) & 1L).toInt
+        i += 1
+      }
+      out(j) = sym
+      j += 1
+    }
+    out
   }
 
-  /** invSAX (Long encoding) of a z-normalized series — the one-call path
-    * used by the Spark dataflow.
+  /** invSAX of a z-normalized series — the one-call path used by the Spark
+    * dataflow.
     */
   def ofSeries(series: Array[Double], p: SaxParams): Long =
     toLong(SAX.sax(series, p), p)

@@ -9,10 +9,15 @@ import repro.util.Gaussian
   * an ordinal in [0, 2^bits). Region 0 is the lowest-value region, so the
   * symbol ordering follows the value ordering — the property that makes the
   * z-order interleaving of [[InvSAX]] meaningful.
+  *
+  * Every index stores a symbol in one byte and an invSAX key in one Long,
+  * so the parameters are checked here, once: `bits ≤ 8` and `w·bits ≤ 64`.
   */
 final case class SaxParams(n: Int, w: Int, bits: Int) {
-  require(n % w == 0, s"segments ($w) must divide series length ($n)")
-  require(bits >= 1 && bits <= 15, s"bits per segment must be in [1,15], got $bits")
+  require(w >= 1 && n % w == 0, s"segments ($w) must divide series length ($n)")
+  require(bits >= 1, s"bits per segment must be at least 1, got $bits")
+  require(bits <= 8, s"SAX symbols are stored one byte each, so bits per segment must be at most 8; got $bits")
+  require(w.toLong * bits <= 64, s"invSAX keys are one Long, so w·bits must be at most 64; got ${w}·$bits = ${w.toLong * bits}")
   /** Cardinality per segment. */
   val card: Int = 1 << bits
   /** Total bits in a (inv)SAX word. */

@@ -175,6 +175,23 @@ class CoconutSparkSpec extends SparkSpec {
     }
   }
 
+  test("a negative radius is rejected before any plan runs; Int.MaxValue reads every leaf") {
+    // No Parquet dataset at this path: a search that built a plan would
+    // fail on it instead of on the radius.
+    val unread = index.copy(path = indexPath + "-absent")
+    for (search <- Seq[Array[Double] => Any](
+           CoconutSpark.approxSearch(spark, unread, _, radius = -1),
+           CoconutSpark.exactSearch(spark, unread, _, radius = -1),
+           CoconutSpark.visitedRecords(spark, unread, _, radius = -1))) {
+      val e = intercept[IllegalArgumentException](search(queries(0)))
+      assert(e.getMessage.contains("radius must be non-negative"))
+    }
+    for (q <- queries.take(2)) {
+      val (_, dist) = CoconutSpark.approxSearch(spark, index, q, radius = Int.MaxValue)
+      assert(math.abs(dist - BruteForce.nn(localData, q).dist) < 1e-9)
+    }
+  }
+
   test("index reload from disk reproduces identical bounds") {
     val reloaded = CoconutSpark.load(spark, indexPath, p)
     assert(reloaded.bounds.map(b => (b.minInv, b.maxInv, b.count)).toSeq ==

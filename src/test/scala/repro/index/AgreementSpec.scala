@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.baselines.{DSTree, ISaxIndex, RTreeSTR, VerticalIndex}
 import repro.core.{CoconutTree, CoconutTrie}
-import repro.series.{SaxParams, SeriesGen}
+import repro.series.{SaxParams, Series, SeriesGen}
 import repro.storage.DiskModel
 
 /** Cross-index agreement: every index's exact search must return the
@@ -83,6 +83,67 @@ class AgreementSpec extends AnyFunSuite {
     val queries = SeriesGen.queries("walk", 10, 64, seed = 51)
     for (q <- queries; idx <- allIndexes(data, p, cap = 30)) {
       assert(idx.approxSearch(q).dist >= idx.exactSearch(q).dist - 1e-9, idx.name)
+    }
+  }
+
+  // Edge cases: every index's exact search equals brute force, and its
+  // approximate answer is an indexed series at its true distance, no
+  // better than the exact one, at radius 0, the leaf count and Int.MaxValue.
+  private def checkEdgeCase(label: String, data: Array[Array[Double]], cap: Int,
+                            queries: Seq[Array[Double]]): Unit = {
+    val p = SaxParams(n = 64, w = 8, bits = 6)
+    for (idx <- allIndexes(data, p, cap); q <- queries) {
+      val want = BruteForce.nn(data, q).dist
+      for (r <- Seq(0, idx.leafCount, Int.MaxValue)) {
+        val exact = idx.exactSearch(q, r).dist
+        assert(math.abs(exact - want) < 1e-9, s"${idx.name} on $label, radius $r: got $exact want $want")
+        val approx = idx.approxSearch(q, r)
+        assert(approx.id >= 0 && math.abs(approx.dist - Series.euclidean(data(approx.id.toInt), q)) < 1e-9,
+          s"${idx.name} on $label, radius $r: approx $approx is not an indexed series")
+        assert(approx.dist >= exact - 1e-9, s"${idx.name} on $label, radius $r: approx $approx, exact $exact")
+      }
+    }
+  }
+  private val edgeQueries = SeriesGen.queries("walk", 3, 64, seed = 81).toSeq
+
+  test("edge case: all-constant data, where every key is equal") {
+    val data = Array.fill(200)(Array.fill(64)(0.25))
+    checkEdgeCase("constant data", data, cap = 30, edgeQueries ++ Seq(Array.fill(64)(0.25), Array.fill(64)(-1.0)))
+  }
+
+  test("edge case: many duplicate series") {
+    val distinct = SeriesGen.dataset("walk", 12, 64, seed = 82)
+    val data = Array.tabulate(360)(i => distinct(i % distinct.length).clone())
+    checkEdgeCase("duplicates", data, cap = 25, edgeQueries ++ distinct.take(2))
+  }
+
+  test("edge case: a single leaf, and radii past the leaf count") {
+    val data = SeriesGen.dataset("walk", 300, 64, seed = 83)
+    checkEdgeCase("one leaf", data, cap = 300, edgeQueries)
+    checkEdgeCase("30-series leaves", data, cap = 30, edgeQueries)
+  }
+
+  test("an empty batch leaves answers and modelled I/O unchanged") {
+    val p = SaxParams(n = 64, w = 8, bits = 6)
+    val data = SeriesGen.dataset("walk", 300, 64, seed = 84)
+    def answers(idx: SeriesIndex) = edgeQueries.map { q =>
+      val before = idx.disk.snapshot
+      val r = (idx.approxSearch(q, 1), idx.exactSearch(q))
+      (r, idx.disk.snapshot - before)
+    }
+    for (mat <- Seq(true, false)) {
+      def tree() = CoconutTree.bulkLoad(data, p, 30, 1L << 30, new DiskModel(), mat)
+      def ads() = ISaxIndex.build(data, p, 30, 1L << 30, new DiskModel(), mat)
+      val (t, a) = (tree(), ads())
+      for ((idx, twin, insertNothing) <- Seq[(SeriesIndex, SeriesIndex, () => Unit)](
+             (t, tree(), () => t.bulkInsertMerge(Array.empty)),
+             (a, ads(), () => a.insertSlice(a.size, a.size)))) {
+        val before = idx.disk.snapshot
+        insertNothing()
+        assert(idx.disk.snapshot == before, idx.name)
+        assert(answers(idx) == answers(twin), idx.name)
+        assert(idx.disk.snapshot == twin.disk.snapshot, idx.name)
+      }
     }
   }
 

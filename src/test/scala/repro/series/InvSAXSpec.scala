@@ -10,31 +10,50 @@ class InvSAXSpec extends AnyFunSuite {
 
   private def randWord(pp: SaxParams): Array[Int] = Array.fill(pp.w)(rnd.nextInt(pp.card))
 
+  // The paper's Algorithm 1 as written, for words of any width: the
+  // interleaved bits packed big-endian into bytes, compared as unsigned
+  // bytes. The Long encoding must equal it, left-aligned and sign-flipped.
+  private def interleave(word: Array[Int], p: SaxParams): Array[Byte] = {
+    val out = new Array[Byte](p.wordBytes)
+    var outBit = 0
+    for (i <- 0 until p.bits; j <- 0 until p.w) {
+      val bit = (word(j) >>> (p.bits - 1 - i)) & 1
+      if (bit == 1) out(outBit >> 3) = (out(outBit >> 3) | (0x80 >>> (outBit & 7))).toByte
+      outBit += 1
+    }
+    out
+  }
+  private def compareBytes(a: Array[Byte], b: Array[Byte]): Int =
+    a.zip(b).map { case (x, y) => (x & 0xff) - (y & 0xff) }.find(_ != 0).getOrElse(0)
+  private def packedLong(bytes: Array[Byte]): Long =
+    (0 until 8).foldLeft(0L)((v, i) => (v << 8) | (if (i < bytes.length) bytes(i) & 0xffL else 0L)) ^ Long.MinValue
+
+  /** toLong equals the reference and fromLong inverts it, on random words. */
+  private def checkAgainstReference(pp: SaxParams, words: Int): Unit =
+    (0 until words).foreach { _ =>
+      val w = randWord(pp)
+      val inv = InvSAX.toLong(w, pp)
+      assert(inv == packedLong(interleave(w, pp)), s"word ${w.mkString(",")} at $pp")
+      assert(InvSAX.fromLong(inv, pp).sameElements(w))
+    }
+
   test("interleave produces the documented bit layout on a small example") {
     // w=2, bits=2; word = (0b10, 0b01) -> interleaved MSBs first: 1,0 then 0,1 = 0b1001
     val pp = SaxParams(4, 2, 2)
-    val inv = InvSAX.interleave(Array(2, 1), pp)
+    val inv = interleave(Array(2, 1), pp)
     assert(inv.length == 1)
     assert((inv(0) & 0xff) == 0x90) // 1001 0000 (padded)
+    assert(InvSAX.toLong(Array(2, 1), pp) == ((0x90L << 56) ^ Long.MinValue))
   }
   test("interleave/deinterleave round-trips") {
-    (0 until 500).foreach { _ =>
-      val w = randWord(p)
-      assert(InvSAX.deinterleave(InvSAX.interleave(w, p), p).sameElements(w))
-    }
+    // Small and mid-width words: 4, 16 and 48 bits.
+    Seq(SaxParams(4, 2, 2), p, SaxParams(64, 8, 6)).foreach(checkAgainstReference(_, 500))
   }
   test("interleave/deinterleave round-trips at 64 bits") {
-    (0 until 500).foreach { _ =>
-      val w = randWord(p64)
-      assert(InvSAX.deinterleave(InvSAX.interleave(w, p64), p64).sameElements(w))
-    }
+    checkAgainstReference(p64, 500)
   }
   test("interleave/deinterleave round-trips for odd bit widths") {
-    val pOdd = SaxParams(30, 5, 3) // 15 bits -> 2 bytes
-    (0 until 300).foreach { _ =>
-      val w = randWord(pOdd)
-      assert(InvSAX.deinterleave(InvSAX.interleave(w, pOdd), pOdd).sameElements(w))
-    }
+    checkAgainstReference(SaxParams(30, 5, 3), 300) // 15 bits -> 2 bytes
   }
   test("toLong/fromLong round-trips") {
     (0 until 500).foreach { _ =>
@@ -51,7 +70,7 @@ class InvSAXSpec extends AnyFunSuite {
   test("Long ordering equals packed-byte z-ordering") {
     (0 until 1000).foreach { _ =>
       val a = randWord(p64); val b = randWord(p64)
-      val byteCmp = Integer.signum(InvSAX.compare(InvSAX.interleave(a, p64), InvSAX.interleave(b, p64)))
+      val byteCmp = Integer.signum(compareBytes(interleave(a, p64), interleave(b, p64)))
       val longCmp = java.lang.Long.compare(InvSAX.toLong(a, p64), InvSAX.toLong(b, p64))
       assert(byteCmp == Integer.signum(longCmp))
     }
@@ -112,14 +131,13 @@ class InvSAXSpec extends AnyFunSuite {
       "the paper's premise: z-order neighbors are closer than lexicographic neighbors")
   }
   test("interleave rejects wrong word length") {
-    intercept[IllegalArgumentException](InvSAX.interleave(Array(1, 2, 3), p))
-  }
-  test("deinterleave rejects wrong byte length") {
-    intercept[IllegalArgumentException](InvSAX.deinterleave(Array[Byte](1), p))
+    intercept[IllegalArgumentException](InvSAX.toLong(Array(1, 2, 3), p))
   }
   test("toLong rejects words wider than 64 bits") {
-    val pWide = SaxParams(n = 144, w = 9, bits = 8) // 72 bits
-    intercept[IllegalArgumentException](InvSAX.toLong(Array.fill(9)(0), pWide))
+    // The limit lives in SaxParams: a 72-bit word never reaches toLong.
+    val pWide = intercept[IllegalArgumentException](
+      InvSAX.toLong(Array.fill(9)(0), SaxParams(n = 144, w = 9, bits = 8)))
+    assert(pWide.getMessage.contains("w·bits must be at most 64"))
   }
   test("ofSeries equals toLong(sax(series))") {
     (0 until 100).foreach { i =>

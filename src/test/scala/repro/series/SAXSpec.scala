@@ -13,6 +13,10 @@ class SAXSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SaxParams(10, 3, 4))
     intercept[IllegalArgumentException](SaxParams(32, 4, 0))
     intercept[IllegalArgumentException](SaxParams(32, 4, 16))
+    val tooManyBits = intercept[IllegalArgumentException](SaxParams(32, 4, 9))
+    assert(tooManyBits.getMessage.contains("bits per segment must be at most 8"))
+    val tooWide = intercept[IllegalArgumentException](SaxParams(144, 9, 8)) // 72 bits
+    assert(tooWide.getMessage.contains("w·bits must be at most 64"))
   }
   test("SaxParams derived quantities") {
     assert(p.card == 16 && p.totalBits == 16 && p.wordBytes == 2)
