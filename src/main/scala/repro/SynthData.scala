@@ -3,6 +3,8 @@ package repro
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
+import repro.series.SeriesGen
+
 /** Synthetic data-series input for the Spark dataflow. */
 object SynthData {
 
@@ -15,14 +17,8 @@ object SynthData {
   def dataSeries(spark: SparkSession, n: Long, len: Int,
                  kind: String = "walk", seed: Long = 42L): DataFrame = {
     import spark.implicits._
-    val genUdf = udf { (id: Long) =>
-      kind match {
-        case "walk"      => repro.series.SeriesGen.randomWalk(id, len, seed)
-        case "seismic"   => repro.series.SeriesGen.seismicLike(id, len, seed)
-        case "astronomy" => repro.series.SeriesGen.astronomyLike(id, len, seed)
-        case other       => throw new IllegalArgumentException(s"unknown kind: $other")
-      }
-    }
+    val gen = SeriesGen.generator(kind)
+    val genUdf = udf((id: Long) => gen(id, len, seed))
     spark.range(n).select($"id", genUdf($"id") as "series")
   }
 }

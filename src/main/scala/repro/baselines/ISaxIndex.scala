@@ -66,8 +66,6 @@ final class ISaxIndex private[baselines] (
   /** Number of series inserted so far (≤ data.length). */
   var size: Int = 0
 
-  def adaptive: Boolean = !materialized
-
   private def collectLeaves: Seq[Node] = {
     val out = ArrayBuffer.empty[Node]
     def rec(nd: Node): Unit = if (nd.isLeaf) out += nd else { rec(nd.left); rec(nd.right) }

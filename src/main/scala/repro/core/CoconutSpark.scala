@@ -1,11 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.UserDefinedFunction
 import org.apache.spark.sql.functions._
 
-import repro.index.SeriesIndex
-import repro.series.{InvSAX, SAX, SaxParams, Series}
+import repro.index.{MinDist, SeriesIndex}
+import repro.series.{InvSAX, SaxParams, Series}
 
 /** Coconut-Tree as a distributed Spark dataflow — the paper's bulk-loading
   * pipeline (Algorithm 3) expressed in the DataFrame API:
@@ -32,33 +31,19 @@ object CoconutSpark {
 
   /** A loaded index: leaf directory + paths. */
   final case class Index(path: String, p: SaxParams, bounds: Array[LeafBound]) {
-    /** Leaf whose range contains `inv` (rightmost leaf with minInv ≤ inv). */
-    def leafOf(inv: Long): Int = {
-      val keys = bounds.map(_.minInv)
-      var lo = 0; var hi = keys.length - 1; var ans = 0
-      while (lo <= hi) {
-        val mid = (lo + hi) >>> 1
-        if (keys(mid) <= inv) { ans = mid; lo = mid + 1 } else hi = mid - 1
-      }
-      ans
-    }
+    /** Each leaf's first key, in directory order: what
+      * [[repro.index.SeriesIndex.leafWindow]] searches.
+      */
+    val firstKeys: Array[Long] = bounds.map(_.minInv)
   }
-
-  /** UDF computing the sign-flipped Long invSAX of a series. */
-  def invSaxUdf(p: SaxParams): UserDefinedFunction =
-    udf((s: Seq[Double]) => InvSAX.ofSeries(s.toArray, p))
-
-  /** Register the summarization UDF on the session as `invsax`, so it is
-    * usable from Spark SQL as well.
-    */
-  def registerUdfs(spark: SparkSession, p: SaxParams): Unit =
-    spark.udf.register("invsax", invSaxUdf(p))
 
   /** Add the `invsax` column, the only summary that queries, [[load]] and
     * the bulk load read, to a `(id, series)` DataFrame.
     */
-  def summarize(df: DataFrame, p: SaxParams): DataFrame =
-    df.withColumn("invsax", invSaxUdf(p)(col("series")))
+  def summarize(df: DataFrame, p: SaxParams): DataFrame = {
+    val invSax = udf((s: Seq[Double]) => InvSAX.ofSeries(s.toArray, p))
+    df.withColumn("invsax", invSax(col("series")))
+  }
 
   /** Bulk-load the index: z-order sort + range partition into `numLeaves`
     * leaves, written as a Parquet dataset partitioned by `leaf`. Returns
@@ -99,20 +84,9 @@ object CoconutSpark {
   def approxSearch(spark: SparkSession, index: Index, q: Array[Double],
                    radius: Int = 0): (Long, Double) = {
     SeriesIndex.checkQuery(q, index.p.n)
-    require(radius >= 0, s"radius must be non-negative, got $radius")
-    import spark.implicits._
-    val qz = q
-    val qInv = InvSAX.ofSeries(qz, index.p)
-    val c = index.leafOf(qInv)
-    val lo = math.max(0, c - radius); val hi = math.min(index.bounds.length - 1L, c.toLong + radius).toInt
-    val leafIds = (lo to hi).map(index.bounds(_).leaf)
-    val distUdf = udf((s: Seq[Double]) => Series.euclidean(s.toArray, qz))
-    spark.read.parquet(index.path)
-      .where(col("leaf").isin(leafIds: _*))
-      .select(col("id"), distUdf(col("series")) as "dist")
-      .orderBy(col("dist"))
-      .as[(Long, Double)]
-      .head()
+    val window = SeriesIndex.leafWindow(index.firstKeys, InvSAX.ofSeries(q, index.p), radius)
+    val leafIds = window.map(index.bounds(_).leaf)
+    nearest(spark.read.parquet(index.path).where(col("leaf").isin(leafIds: _*)), q).head
   }
 
   /** Exact search: CoconutTreeSIMS (Algorithm 5) as a dataflow — MINDIST
@@ -122,36 +96,41 @@ object CoconutSpark {
     */
   def exactSearch(spark: SparkSession, index: Index, q: Array[Double],
                   radius: Int = 1): (Long, Double) = {
-    SeriesIndex.checkQuery(q, index.p.n)
-    import spark.implicits._
-    val qz = q
-    val approx = approxSearch(spark, index, qz, radius)
-    val bsf = approx._2
-    val p = index.p
-    val qPaa = Series.paa(qz, p.w)
-    val mindistUdf = udf((inv: Long) => SAX.minDistPaaToSax(qPaa, InvSAX.fromLong(inv, p), p))
-    val distUdf = udf((s: Seq[Double]) => Series.euclidean(s.toArray, qz))
-    val best = spark.read.parquet(index.path)
-      .where(mindistUdf(col("invsax")) < lit(bsf))
-      .select(col("id"), distUdf(col("series")) as "dist")
-      .orderBy(col("dist"))
-      .as[(Long, Double)]
-      .take(1)
+    val (approx, rows) = survivors(spark, index, q, radius)
     // The approximate answer may already be optimal (no candidate strictly
     // under the bound beats it) — return whichever is closer.
-    if (best.nonEmpty && best.head._2 <= approx._2) best.head else approx
+    nearest(rows, q).find(_._2 <= approx._2).getOrElse(approx)
   }
 
   /** Count of records whose MINDIST is below the approximate bound — the
     * paper's "visited records" metric (Fig. 9f), as a dataflow.
     */
   def visitedRecords(spark: SparkSession, index: Index, q: Array[Double],
-                     radius: Int = 1): Long = {
-    SeriesIndex.checkQuery(q, index.p.n)
-    val (_, bsf) = approxSearch(spark, index, q, radius)
+                     radius: Int = 1): Long =
+    survivors(spark, index, q, radius)._2.count()
+
+  /** The approximate answer, and the index rows whose MINDIST lower bound
+    * is below its distance: the records SIMS must fetch.
+    */
+  private def survivors(spark: SparkSession, index: Index, q: Array[Double],
+                        radius: Int): ((Long, Double), DataFrame) = {
+    val approx = approxSearch(spark, index, q, radius)
     val p = index.p
-    val qPaa = Series.paa(q, p.w)
-    val mindistUdf = udf((inv: Long) => SAX.minDistPaaToSax(qPaa, InvSAX.fromLong(inv, p), p))
-    spark.read.parquet(index.path).where(mindistUdf(col("invsax")) < lit(bsf)).count()
+    val kernel = new MinDist(Series.paa(q, p.w), p)
+    val bound = udf((inv: Long) => kernel.lowerBound(InvSAX.fromLong(inv, p)))
+    (approx, spark.read.parquet(index.path).where(bound(col("invsax")) < lit(approx._2)))
+  }
+
+  /** The row of `rows` nearest to `q` as `(id, distance)`; empty when
+    * `rows` is.
+    */
+  private def nearest(rows: DataFrame, q: Array[Double]): Array[(Long, Double)] = {
+    val spark = rows.sparkSession
+    import spark.implicits._
+    val dist = udf((s: Seq[Double]) => Series.euclidean(s.toArray, q))
+    rows.select(col("id"), dist(col("series")) as "dist")
+      .orderBy(col("dist"))
+      .as[(Long, Double)]
+      .take(1)
   }
 }

@@ -80,16 +80,6 @@ final class CoconutTree private[core] (
     else
       SeriesIndex.pages(store.size.toLong * indexFile.recordBytes)
 
-  /** Rightmost leaf whose first key is ≤ `inv` (the leaf `inv` belongs to). */
-  private def leafOf(inv: Long): Int = {
-    var lo = 0; var hi = leafKeys.length - 1; var ans = 0
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      if (leafKeys(mid) <= inv) { ans = mid; lo = mid + 1 } else hi = mid - 1
-    }
-    ans
-  }
-
   /** Approximate search (Algorithm 4): read the leaf where the query's
     * invSAX would reside plus `radius` neighboring leaves on each side —
     * one sequential range read, since Coconut leaves are contiguous.
@@ -101,11 +91,10 @@ final class CoconutTree private[core] (
     */
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
     val best = new Nearest(q, data, params.n)
-    require(radius >= 0, s"radius must be non-negative, got $radius")
     val qPaa = Series.paa(q, params.w)
-    val c = leafOf(InvSAX.toLong(SAX.fromPaa(qPaa, params), params))
-    val from = leafDir(math.max(0, c - radius)).start
-    val last = leafDir(math.min(leafDir.length - 1L, c.toLong + radius).toInt)
+    val window = SeriesIndex.leafWindow(leafKeys, InvSAX.toLong(SAX.fromPaa(qPaa, params), params), radius)
+    val from = leafDir(window.start).start
+    val last = leafDir(window.end)
     val until = last.start + last.occupancy
     indexFile.readRange(from.toLong, (until - from).toLong)
     if (materialized) {

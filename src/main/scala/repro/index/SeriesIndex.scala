@@ -65,6 +65,21 @@ object SeriesIndex {
     require(q.length == n && q.forall(java.lang.Double.isFinite),
       s"query must be $n finite values, like the indexed series; " +
       s"got ${q.length} values, ${q.count(v => !java.lang.Double.isFinite(v))} of them NaN or infinite")
+
+  /** The leaves approximate search reads (Algorithm 4) in a key-ordered
+    * leaf directory: the rightmost leaf whose first key is ≤ `key` (the
+    * first leaf if none is) and `radius` leaves on each side, clamped to the
+    * directory. `firstKeys(k)` is leaf k's first key, ascending.
+    */
+  def leafWindow(firstKeys: Array[Long], key: Long, radius: Int): Range.Inclusive = {
+    require(radius >= 0, s"radius must be non-negative, got $radius")
+    var lo = 0; var hi = firstKeys.length - 1; var c = 0
+    while (lo <= hi) {
+      val mid = (lo + hi) >>> 1
+      if (firstKeys(mid) <= key) { c = mid; lo = mid + 1 } else hi = mid - 1
+    }
+    math.max(0, c - radius) to math.min(firstKeys.length - 1L, c.toLong + radius).toInt
+  }
 }
 
 object BruteForce {

@@ -61,8 +61,9 @@ object Summaries {
   * `w` table entries in segment order, starting from 0.0, scaled by
   * `sqrt(· n / w)`: the same operations in the same order as
   * [[repro.series.SAX.minDistPaaToSax]], so the bounds are bit-identical.
+  * Serializable, so a Spark task can carry it to the executors.
   */
-final class MinDist(qPaa: Array[Double], p: SaxParams) {
+final class MinDist(qPaa: Array[Double], p: SaxParams) extends Serializable {
   require(qPaa.length == p.w, s"query PAA has ${qPaa.length} segments, expected ${p.w}")
   private val w = p.w
   private val bits = p.bits
@@ -90,6 +91,15 @@ final class MinDist(qPaa: Array[Double], p: SaxParams) {
     val base = i * w
     var acc = 0.0; var j = 0
     while (j < w) { acc += table((j << bits) | (syms(base + j) & 0xff)); j += 1 }
+    math.sqrt(acc * n / w)
+  }
+
+  /** Lower bound on the distance from the query to a series with SAX word
+    * `word`, summed in the same order as the store overload.
+    */
+  def lowerBound(word: Array[Int]): Double = {
+    var acc = 0.0; var j = 0
+    while (j < w) { acc += table((j << bits) | word(j)); j += 1 }
     math.sqrt(acc * n / w)
   }
 

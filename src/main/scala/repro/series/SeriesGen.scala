@@ -70,14 +70,19 @@ object SeriesGen {
     Series.znormalize(out)
   }
 
+  /** The generator of dataset `kind` ("walk", "seismic" or "astronomy"),
+    * as `(id, len, seed) => series`.
+    */
+  def generator(kind: String): (Long, Int, Long) => Array[Double] = kind match {
+    case "walk"      => randomWalk
+    case "seismic"   => seismicLike
+    case "astronomy" => astronomyLike
+    case other       => throw new IllegalArgumentException(s"unknown dataset kind: $other")
+  }
+
   /** A dataset as a lazily-generated indexed collection. */
   def dataset(kind: String, n: Int, len: Int, seed: Long): Array[Array[Double]] = {
-    val gen: (Long, Int, Long) => Array[Double] = kind match {
-      case "walk"      => randomWalk
-      case "seismic"   => seismicLike
-      case "astronomy" => astronomyLike
-      case other       => throw new IllegalArgumentException(s"unknown dataset kind: $other")
-    }
+    val gen = generator(kind)
     Array.tabulate(n)(i => gen(i.toLong, len, seed))
   }
 

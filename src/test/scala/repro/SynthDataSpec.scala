@@ -17,9 +17,8 @@ class SynthDataSpec extends SparkSpec {
     }
   }
 
-  test("dataSeries rejects unknown kinds lazily at evaluation") {
-    intercept[Exception] {
-      SynthData.dataSeries(spark, 2, 16, "nope").collect()
-    }
+  test("dataSeries rejects unknown kinds when called, before any plan runs") {
+    val e = intercept[IllegalArgumentException](SynthData.dataSeries(spark, 2, 16, "nope"))
+    assert(e.getMessage == "unknown dataset kind: nope")
   }
 }

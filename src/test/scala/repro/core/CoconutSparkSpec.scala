@@ -6,8 +6,8 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
-import repro.index.BruteForce
-import repro.series.{InvSAX, SaxParams, SeriesGen}
+import repro.index.{BruteForce, MinDist, SeriesIndex}
+import repro.series.{InvSAX, SAX, SaxParams, Series, SeriesGen}
 
 /** Tests for the distributed Coconut dataflow: summarize → z-order sort →
   * range partition → columnar leaves, plus the query dataflows. Every
@@ -111,10 +111,11 @@ class CoconutSparkSpec extends SparkSpec {
   }
 
   test("leafOf locates the correct leaf for every indexed key") {
+    def leafOf(inv: Long): Int = SeriesIndex.leafWindow(index.firstKeys, inv, 0).start
     index.bounds.foreach { lb =>
-      assert(index.leafOf(lb.minInv) == index.bounds.indexOf(lb) ||
-             index.bounds(index.leafOf(lb.minInv)).minInv == lb.minInv)
-      assert(index.bounds(index.leafOf(lb.maxInv)).minInv <= lb.maxInv)
+      assert(leafOf(lb.minInv) == index.bounds.indexOf(lb) ||
+             index.bounds(leafOf(lb.minInv)).minInv == lb.minInv)
+      assert(index.bounds(leafOf(lb.maxInv)).minInv <= lb.maxInv)
     }
   }
 
@@ -160,11 +161,14 @@ class CoconutSparkSpec extends SparkSpec {
     assert(v > 0 && v < n)
   }
 
-  test("SQL UDFs are usable after registerUdfs") {
-    CoconutSpark.registerUdfs(spark, p)
-    df.limit(10).createOrReplaceTempView("series_tbl")
-    val got = spark.sql("SELECT id, invsax(series) AS iv FROM series_tbl ORDER BY id").collect()
-    got.foreach(r => assert(r.getAs[Long]("iv") == InvSAX.ofSeries(localData(r.getAs[Long]("id").toInt), p)))
+  test("visitedRecords counts the series whose MINDIST is below the approximate distance") {
+    val words = localData.map(SAX.sax(_, p))
+    for (q <- queries) {
+      val (_, approx) = CoconutSpark.approxSearch(spark, index, q, radius = 1)
+      val kernel = new MinDist(Series.paa(q, p.w), p)
+      val want = words.count(kernel.lowerBound(_) < approx)
+      assert(CoconutSpark.visitedRecords(spark, index, q, radius = 1) == want)
+    }
   }
 
   test("queries of the wrong length or all NaN are rejected before any plan runs") {

@@ -44,6 +44,12 @@ class MinDistSpec extends AnyFunSuite {
     })
   }
 
+  test("the word overload == the byte-store bound") {
+    check(Prop.forAll(cases) { case (p, paa, word) =>
+      new MinDist(paa, p).lowerBound(word) == kernel(paa, word, p)
+    })
+  }
+
   test("kernel lower bound == minDistPaaToSax when the PAA lies on every breakpoint") {
     for (bits <- Seq(3, 6, 8)) {
       val p = SaxParams(64, 8, bits)
