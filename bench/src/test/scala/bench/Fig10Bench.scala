@@ -64,7 +64,7 @@ class Fig10bcRealDatasets extends AnyFunSuite {
     def avgVisited(kind: String): Double = {
       val data = SeriesGen.dataset(kind, 4000, 64, seed = 5)
       val qs = SeriesGen.queries(kind, 10, 64, seed = 5)
-      val (idx, _) = Experiments.build("CTreeFull", data, p, 100, 1L << 30)
+      val idx = Experiments.build("CTreeFull", data, p, 100, 1L << 30)
       qs.map(idx.exactSearch(_).visitedRecords.toDouble).sum / qs.length
     }
     val walk = avgVisited("walk")

@@ -18,7 +18,7 @@ object BuildIndexJob {
     val len = if (args.length > 1) args(1).toInt else 64
     val numLeaves = if (args.length > 2) args(2).toInt else 64
     val path = if (args.length > 3) args(3) else "/tmp/coconut-index"
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("coconut-build").getOrCreate()
     val p = SaxParams(len, 8, 8)
     val t0 = System.nanoTime()
@@ -41,7 +41,7 @@ object QueryIndexJob {
     val len = if (args.length > 1) args(1).toInt else 64
     val nQueries = if (args.length > 2) args(2).toInt else 10
     val radius = if (args.length > 3) args(3).toInt else 1
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+    val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("coconut-query").getOrCreate()
     val p = SaxParams(len, 8, 8)
     val index = CoconutSpark.load(spark, path, p)

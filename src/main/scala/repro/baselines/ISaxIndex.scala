@@ -141,28 +141,20 @@ final class ISaxIndex private[baselines] (
     pending.clear()
   }
 
-  /** Descend (creating the root child if needed) to the target leaf of
-    * the word whose symbols are `syms(off until off + w)`.
+  /** Follow the word whose symbols are `syms(off until off + w)` from its
+    * root child (created if needed) down to its target leaf, taking the
+    * word's next prefix bit at each split.
     */
   private def routeToLeaf(syms: Array[Byte], off: Int): Node = {
-    val key = ISaxIndex.rootKey(syms, off, params)
-    descend(root.getOrElseUpdate(key, {
-      val prefix = Array.tabulate(params.w)(j => ((syms(off + j) & 0xff) >>> (params.bits - 1)) & 1)
-      new Node(prefix, Array.fill(params.w)(1))
-    }), syms, off)
+    var n = root.getOrElseUpdate(ISaxIndex.rootKey(syms, off, params), new Node(Array.fill(params.w)(1)))
+    while (!n.isLeaf) n = child(n, syms, off)
+    n
   }
 
   /** The child of internal node `n` that the word's next prefix bit selects. */
   private def child(n: Node, syms: Array[Byte], off: Int): Node = {
     val bit = ((syms(off + n.splitSeg) & 0xff) >>> (params.bits - (n.lens(n.splitSeg) + 1))) & 1
     if (bit == 0) n.left else n.right
-  }
-
-  /** Follow the word's next prefix bit at each split down to a leaf. */
-  private def descend(start: Node, syms: Array[Byte], off: Int): Node = {
-    var n = start
-    while (!n.isLeaf) n = child(n, syms, off)
-    n
   }
 
   /** Split on the segment whose next unprefixed bit divides the entries
@@ -184,12 +176,9 @@ final class ISaxIndex private[baselines] (
       j += 1
     }
     if (bestSeg < 0) return false
-    val lSyms = nd.symbols.clone; val rSyms = nd.symbols.clone
-    val lLens = nd.lens.clone;    val rLens = nd.lens.clone
+    val lLens = nd.lens.clone; val rLens = nd.lens.clone
     lLens(bestSeg) += 1; rLens(bestSeg) += 1
-    lSyms(bestSeg) = nd.symbols(bestSeg) << 1
-    rSyms(bestSeg) = (nd.symbols(bestSeg) << 1) | 1
-    nd.left = new Node(lSyms, lLens); nd.right = new Node(rSyms, rLens)
+    nd.left = new Node(lLens); nd.right = new Node(rLens)
     nd.splitSeg = bestSeg
     nd.ids.foreach { id =>
       val bit = (store.sym(id, bestSeg) >>> (params.bits - (nd.lens(bestSeg) + 1))) & 1
@@ -210,7 +199,7 @@ final class ISaxIndex private[baselines] (
   private def promisingLeaf(word: Array[Int]): Node = {
     val syms = word.map(_.toByte)
     var n = root.getOrElse(ISaxIndex.rootKey(syms, 0, params),
-                           root.values.minBy(n => ISaxIndex.prefixMinDist(word, n, params)))
+                           root.minBy { case (key, _) => ISaxIndex.prefixMinDist(word, key, params) }._2)
     while (!n.isLeaf) {
       val c = child(n, syms, 0)
       n = if (c.isLeaf && c.ids.isEmpty) (if (c eq n.left) n.right else n.left) else c
@@ -262,10 +251,11 @@ final class ISaxIndex private[baselines] (
 object ISaxIndex {
 
   /** A prefix-split tree node: per-segment symbol prefixes of `lens(j)`
-    * bits each. Leaves hold entries; internal nodes split one segment's
-    * next bit into two children.
+    * bits each (the prefix bits themselves are the path from the root
+    * child). Leaves hold entries; internal nodes split one segment's next
+    * bit into two children.
     */
-  final class Node(val symbols: Array[Int], val lens: Array[Int]) {
+  final class Node(val lens: Array[Int]) {
     /** Ids (raw-file positions) of the series in this leaf. */
     var ids: ArrayBuffer[Int] = ArrayBuffer.empty
     var left: Node = _
@@ -288,20 +278,20 @@ object ISaxIndex {
     k
   }
 
-  /** MINDIST between a full-resolution word and a node's prefix regions
-    * (0 where the word's symbol falls inside the prefix region).
+  /** MINDIST between a full-resolution word and the one-bit-per-segment
+    * prefix regions of the root child `key` (0 where the word's symbol
+    * falls inside the region). Segment j's bit is key bit `w − 1 − j`, as
+    * [[rootKey]] packs it.
     */
-  private[baselines] def prefixMinDist(word: Array[Int], n: Node, p: SaxParams): Double = {
+  private[baselines] def prefixMinDist(word: Array[Int], key: Long, p: SaxParams): Double = {
     var acc = 0.0; var j = 0
     while (j < p.w) {
-      val len = n.lens(j)
-      if (len > 0) {
-        val lo = n.symbols(j) << (p.bits - len)
-        val hi = ((n.symbols(j) + 1) << (p.bits - len)) - 1
-        val s = word(j)
-        if (s < lo) { val d = SAX.regionLow(lo, p) - SAX.regionHigh(s, p); if (d > 0) acc += d * d }
-        else if (s > hi) { val d = SAX.regionLow(s, p) - SAX.regionHigh(hi, p); if (d > 0) acc += d * d }
-      }
+      val bit = ((key >>> (p.w - 1 - j)) & 1L).toInt
+      val lo = bit << (p.bits - 1)
+      val hi = ((bit + 1) << (p.bits - 1)) - 1
+      val s = word(j)
+      if (s < lo) { val d = SAX.regionLow(lo, p) - SAX.regionHigh(s, p); if (d > 0) acc += d * d }
+      else if (s > hi) { val d = SAX.regionLow(s, p) - SAX.regionHigh(hi, p); if (d > 0) acc += d * d }
       j += 1
     }
     math.sqrt(acc * p.n / p.w)

@@ -20,22 +20,24 @@ import repro.storage.DiskModel
 object Experiments {
 
   /** Default workload configuration (paper: random walk, length 256,
-    * 16-segment SAX at 8 bits; ours is proportionally scaled down).
+    * 16-segment SAX at 8 bits; ours is proportionally scaled down). Its
+    * dataset and queries are generated once, on first use, so every
+    * [[grid]] column that shares a `Cfg` shares one dataset.
     */
   final case class Cfg(n: Int = 20000, len: Int = 64, w: Int = 8, bits: Int = 6,
                        leafCap: Int = 100, kind: String = "walk", seed: Long = 1,
                        nQueries: Int = 50) {
     def p: SaxParams = SaxParams(len, w, bits)
     def rawBytes: Long = n.toLong * len * 8
-    def data: Array[Array[Double]] = SeriesGen.dataset(kind, n, len, seed)
-    def queries: Array[Array[Double]] = SeriesGen.queries(kind, nQueries, len, seed)
+    lazy val data: Array[Array[Double]] = SeriesGen.dataset(kind, n, len, seed)
+    lazy val queries: Array[Array[Double]] = SeriesGen.queries(kind, nQueries, len, seed)
   }
 
   /** Build one index by its paper name on a fresh disk model. */
   def build(system: String, data: Array[Array[Double]], p: SaxParams, cap: Int,
-            memBytes: Long): (SeriesIndex, DiskModel) = {
+            memBytes: Long): SeriesIndex = {
     val disk = new DiskModel()
-    val idx: SeriesIndex = system match {
+    system match {
       case "CTreeFull" => CoconutTree.bulkLoad(data, p, cap, memBytes, disk, materialized = true)
       case "CTree"     => CoconutTree.bulkLoad(data, p, cap, memBytes, disk, materialized = false)
       case "CTrieFull" => CoconutTrie.bulkLoad(data, p, cap, memBytes, disk, materialized = true)
@@ -48,15 +50,23 @@ object Experiments {
       case "Vertical"  => VerticalIndex.build(data, p, disk)
       case other       => throw new IllegalArgumentException(s"unknown system: $other")
     }
-    (idx, disk)
   }
 
-  /** Modelled I/O seconds of one build. */
-  private def buildSeconds(system: String, cfg: Cfg, memFrac: Double,
-                           data: Array[Array[Double]]): Double = {
-    val (_, disk) = build(system, data, cfg.p, cfg.leafCap, (cfg.rawBytes * memFrac).toLong)
-    disk.elapsedMs / 1000.0
-  }
+  /** One figure table of `systems` × `columns`, where a column is (label,
+    * workload, memory budget in bytes): each cell builds the system over
+    * the column's dataset on a fresh disk and reports `measure` of it.
+    */
+  private def grid(title: String, unit: String, systems: Seq[String], columns: Seq[(String, Cfg, Long)])
+                  (measure: (SeriesIndex, Cfg) => Double): Table =
+    Table.build(title, unit, columns.map(_._1), systems) { put =>
+      for ((label, cfg, memBytes) <- columns; s <- systems)
+        put(s, label, measure(build(s, cfg.data, cfg.p, cfg.leafCap, memBytes), cfg))
+    }
+
+  /** The [[grid]] measure of modelled I/O seconds charged to the index's
+    * disk so far.
+    */
+  private val ioSeconds: (SeriesIndex, Cfg) => Double = (idx, _) => idx.disk.elapsedMs / 1000.0
 
   val memoryConfigs: Seq[(String, Double)] =
     Seq("ample" -> 4.0, "mem=50%" -> 0.5, "mem=10%" -> 0.1, "mem=2%" -> 0.02)
@@ -74,13 +84,9 @@ object Experiments {
                       Seq("CTree", "CTrie", "ADS+", "R-tree+"), cfg)
 
   /** Construction seconds of `systems` at every memory configuration. */
-  private def constructionTable(title: String, systems: Seq[String], cfg: Cfg): Table = {
-    val data = cfg.data
-    Table.build(title, "s", memoryConfigs.map(_._1), systems) { put =>
-      for ((label, frac) <- memoryConfigs; s <- systems)
-        put(s, label, buildSeconds(s, cfg, frac, data))
-    }
-  }
+  private def constructionTable(title: String, systems: Seq[String], cfg: Cfg): Table =
+    grid(title, "s", systems,
+         memoryConfigs.map { case (label, frac) => (label, cfg, (cfg.rawBytes * frac).toLong) })(ioSeconds)
 
   // --------------------------------------------------------------- Figure 8c
 
@@ -89,7 +95,7 @@ object Experiments {
     val data = cfg.data
     val systems = Seq("CTreeFull", "CTrieFull", "ADSFull", "R-tree", "DSTree",
                       "CTree", "CTrie", "ADS+", "R-tree+")
-    val built = systems.map(s => s -> build(s, data, cfg.p, cfg.leafCap, cfg.rawBytes)._1).toMap
+    val built = systems.map(s => s -> build(s, data, cfg.p, cfg.leafCap, cfg.rawBytes)).toMap
     val space = Table.build("Fig 8c — index storage (MB; raw data = %.1f MB)".format(cfg.rawBytes / 1e6),
                             "MB", Seq("space"), systems) { put =>
       systems.foreach(s =>
@@ -118,17 +124,8 @@ object Experiments {
     val memBytes =
       if (materialized) (smallest.rawBytes * 1.1).toLong
       else (sizes.head.toLong * (smallest.p.wordBytes + 8) * 11 / 10)
-    Table.build(s"Fig 8${if (materialized) "d" else "e"} — fixed memory, growing data",
-                "s", sizes.map(n => s"N=$n"), systems) { put =>
-      for (n <- sizes) {
-        val cfg = base.copy(n = n)
-        val data = cfg.data
-        for (s <- systems) {
-          val (_, disk) = build(s, data, cfg.p, cfg.leafCap, memBytes)
-          put(s, s"N=$n", disk.elapsedMs / 1000.0)
-        }
-      }
-    }
+    grid(s"Fig 8${if (materialized) "d" else "e"} — fixed memory, growing data", "s", systems,
+         sizes.map(n => (s"N=$n", base.copy(n = n), memBytes)))(ioSeconds)
   }
 
   // --------------------------------------------------------------- Figure 8f
@@ -137,26 +134,21 @@ object Experiments {
   def fig8f(base: Cfg = Cfg()): Table = {
     val shapes = Seq((64, 20000), (128, 10000), (256, 5000), (512, 2500))
     val systems = Seq("CTreeFull", "CTree", "ADSFull", "ADS+")
-    Table.build("Fig 8f — variable series length (fixed total volume, mem=2%)",
-                "s", shapes.map { case (l, n) => s"len=$l" }, systems) { put =>
-      for ((len, n) <- shapes) {
-        val cfg = base.copy(n = n, len = len)
-        val data = cfg.data
-        for (s <- systems) {
-          val (_, disk) = build(s, data, cfg.p, cfg.leafCap, (cfg.rawBytes * 0.02).toLong)
-          put(s, s"len=$len", disk.elapsedMs / 1000.0)
-        }
-      }
-    }
+    grid("Fig 8f — variable series length (fixed total volume, mem=2%)", "s", systems,
+         shapes.map { case (len, n) =>
+           val cfg = base.copy(n = n, len = len)
+           (s"len=$len", cfg, (cfg.rawBytes * 0.02).toLong)
+         })(ioSeconds)
   }
 
   // ------------------------------------------------------------ Figure 9a/9b
 
-  /** Average modelled I/O milliseconds per query plus other per-query
-    * statistics for `system` on a built index.
+  /** Average modelled I/O milliseconds, visited records and answer
+    * distance per query of `queries` on the built index `idx`.
     */
-  private def queryStats(idx: SeriesIndex, disk: DiskModel, queries: Array[Array[Double]],
+  private def queryStats(idx: SeriesIndex, queries: Array[Array[Double]],
                          exact: Boolean, radius: Int = 1): (Double, Double, Double) = {
+    val disk = idx.disk
     var ms = 0.0; var visited = 0.0; var dist = 0.0
     for (q <- queries) {
       val s0 = disk.snapshot
@@ -181,16 +173,10 @@ object Experiments {
   /** Query milliseconds of `systems` at every data size, mem=10%. */
   private def queryTable(title: String, systems: Seq[String], exact: Boolean,
                          sizes: Seq[Int], base: Cfg): Table =
-    Table.build(title, "ms", sizes.map(n => s"N=$n"), systems) { put =>
-      for (n <- sizes) {
-        val cfg = base.copy(n = n)
-        val data = cfg.data; val queries = cfg.queries
-        for (s <- systems) {
-          val (idx, disk) = build(s, data, cfg.p, cfg.leafCap, (cfg.rawBytes * 0.1).toLong)
-          put(s, s"N=$n", queryStats(idx, disk, queries, exact)._1)
-        }
-      }
-    }
+    grid(title, "ms", systems, sizes.map { n =>
+      val cfg = base.copy(n = n)
+      (s"N=$n", cfg, (cfg.rawBytes * 0.1).toLong)
+    })((idx, cfg) => queryStats(idx, cfg.queries, exact)._1)
 
   // --------------------------------------------------------- Figure 9c/d/e/f
 
@@ -206,10 +192,8 @@ object Experiments {
                        ("CTree(10)", "CTree", 10), ("CTreeFull(1)", "CTreeFull", 1),
                        ("ADSFull", "ADSFull", 0), ("ADS+", "ADS+", 0))
     val stats = variants.map { case (label, sys, r) =>
-      val (idx, disk) = build(sys, data, cfg.p, cfg.leafCap, mem)
-      val approx = queryStats(idx, disk, queries, exact = false, radius = r)
-      val (idx2, disk2) = build(sys, data, cfg.p, cfg.leafCap, mem)
-      val exact = queryStats(idx2, disk2, queries, exact = true, radius = r)
+      val approx = queryStats(build(sys, data, cfg.p, cfg.leafCap, mem), queries, exact = false, radius = r)
+      val exact = queryStats(build(sys, data, cfg.p, cfg.leafCap, mem), queries, exact = true, radius = r)
       label -> (approx, exact)
     }.toMap
     val labels = variants.map(_._1)
@@ -290,16 +274,13 @@ object Experiments {
     */
   def fig10bc(kind: String, cfg0: Cfg = Cfg()): Table = {
     val cfg = cfg0.copy(kind = kind, n = 15000, nQueries = 100)
-    val data = cfg.data; val queries = cfg.queries
-    val systems = Seq("CTreeFull", "CTree", "ADSFull", "ADS+")
-    val mems = Seq("mem=50%" -> 0.5, "mem=2%" -> 0.02)
-    Table.build(s"Fig 10${if (kind == "astronomy") "b" else "c"} — complete workload, $kind-like data",
-                "s", mems.map(_._1), systems) { put =>
-      for ((label, frac) <- mems; s <- systems) {
-        val (idx, disk) = build(s, data, cfg.p, cfg.leafCap, (cfg.rawBytes * frac).toLong)
-        queries.foreach(idx.exactSearch(_))
-        put(s, label, disk.elapsedMs / 1000.0)
-      }
+    grid(s"Fig 10${if (kind == "astronomy") "b" else "c"} — complete workload, $kind-like data", "s",
+         Seq("CTreeFull", "CTree", "ADSFull", "ADS+"),
+         Seq("mem=50%" -> 0.5, "mem=2%" -> 0.02).map { case (label, frac) =>
+           (label, cfg, (cfg.rawBytes * frac).toLong)
+         }) { (idx, _) =>
+      cfg.queries.foreach(idx.exactSearch(_))
+      ioSeconds(idx, cfg)
     }
   }
 }

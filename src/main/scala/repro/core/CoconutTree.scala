@@ -18,7 +18,6 @@ final case class Entry(inv: Long, id: Int)
   * index file, used for I/O accounting.
   */
 final class Leaf(val capacity: Int, val start: Int, val occupancy: Int, store: Summaries) {
-  def filePos: Long = start
   def key: Long = store.keys(start)
 
   /** The leaf's records as entries, read from the store: no copy, one
@@ -151,19 +150,18 @@ final class CoconutTree private[core] (
 
 object CoconutTree {
 
-  /** Bottom-up bulk load (Algorithm 3): the shared build with leaves packed
-    * to `fill`·capacity. When the external sort already wrote the final
-    * sorted run in one piece, that write *is* the leaf write.
+  /** Bottom-up bulk load (Algorithm 3): the shared build with every leaf
+    * but the last packed full, to `leafCapacity` records. When the external
+    * sort already wrote the final sorted run in one piece, that write *is*
+    * the leaf write.
     *
     * @param memBytes  simulated main-memory budget (drives external sort)
-    * @param fill      target leaf fill factor (paper measures 97%)
     */
   def bulkLoad(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
-               memBytes: Long, disk: DiskModel, materialized: Boolean,
-               fill: Double = 1.0): CoconutTree =
+               memBytes: Long, disk: DiskModel, materialized: Boolean): CoconutTree =
     build("CTree", data, p, leafCapacity, memBytes, disk, materialized) { (run, _, indexFile, runs) =>
       if (runs == 1) indexFile.appendRange(run.size.toLong)
-      fixedCuts(run.size, math.max(1, (leafCapacity * fill).toInt))
+      fixedCuts(run.size, leafCapacity)
     }
 
   /** The build Coconut-Tree and Coconut-Trie share (Algorithms 2–3, lines
@@ -182,6 +180,7 @@ object CoconutTree {
                          (layout: (Summaries, SimFile, SimFile, Int) => collection.IndexedSeq[Int])
       : CoconutTree = {
     require(data.nonEmpty, "cannot bulk-load an empty dataset")
+    require(leafCapacity >= 1, s"leaf capacity must be at least 1, got $leafCapacity")
     val n = data.length.toLong
     val rawBytes = data(0).length * 8
     val recBytes = p.wordBytes + 8 + (if (materialized) rawBytes else 0) // invSAX + offset (+ series)

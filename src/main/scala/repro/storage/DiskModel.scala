@@ -47,11 +47,6 @@ final class DiskModel(
 
   /** Snapshot counters (for asserting deltas in tests/benches). */
   def snapshot: DiskStats = DiskStats(randomOps, seqBlocks, blocksRead, blocksWritten, elapsedMs)
-
-  def reset(): Unit = {
-    randomOps = 0; seqBlocks = 0; blocksRead = 0; blocksWritten = 0
-    files.valuesIterator.foreach(_.resetCursor())
-  }
 }
 
 final case class DiskStats(randomOps: Long, seqBlocks: Long, blocksRead: Long,
@@ -84,21 +79,16 @@ final class SimFile(val name: String, val disk: DiskModel, val recordBytes: Int)
     if (recordBytes <= disk.blockBytes) (nRecords + recordsPerBlock - 1) / recordsPerBlock
     else nRecords * blocksPerRecord
 
-  private def access(recordIdx: Long, write: Boolean): Unit = {
+  /** Read one record (charges at most one block / record span). */
+  def readRecord(recordIdx: Long): Unit = {
     val b = blockOf(recordIdx)
     if (b == cursor && blocksPerRecord == 1) () // in cache, free
     else {
       val random = b != cursor + 1 && b != cursor
-      disk.charge(random, blocksPerRecord, write)
+      disk.charge(random, blocksPerRecord, write = false)
       cursor = b + blocksPerRecord - 1
     }
   }
-
-  /** Read one record (charges at most one block / record span). */
-  def readRecord(recordIdx: Long): Unit = access(recordIdx, write = false)
-
-  /** Write one record in place (read-modify-write charged as one access). */
-  def writeRecord(recordIdx: Long): Unit = access(recordIdx, write = true)
 
   /** Read `nRecords` starting at `fromRecord`: one seek (if not already
     * positioned) plus sequential transfer.

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core.CoconutTree
 import repro.index.BruteForce
-import repro.series.{SAX, SaxParams, SeriesGen}
+import repro.series.{SaxParams, SeriesGen}
 import repro.storage.DiskModel
 
 class ISaxIndexSpec extends AnyFunSuite {
@@ -28,13 +28,11 @@ class ISaxIndexSpec extends AnyFunSuite {
   }
   test("tree is prefix-consistent: every entry's word matches its leaf prefixes") {
     val t = build(mat = false)
-    // Rebuild the leaves via routing and check the node prefix covers the word.
-    val words = data.map(SAX.sax(_, p))
-    // Access leaves through storage stats + routing invariant: routing the
-    // same word twice must reach the same leaf with the entry present.
-    words.zipWithIndex.take(200).foreach { case (w, i) =>
+    // Insert routing and query descent follow the same prefix bits, so
+    // approximate search for an indexed series reads the leaf that holds it.
+    data.indices.foreach { i =>
       val r = t.approxSearch(data(i))
-      assert(r.dist <= 1e-9 || r.dist > 0) // the query series itself is indexed
+      assert(r.dist < 1e-9, s"series $i should be found in the leaf it was inserted into")
     }
   }
   test("searching for an indexed series finds it at distance zero (approx)") {

@@ -23,11 +23,6 @@ class CoconutTreeSpec extends AnyFunSuite {
     assert(t.leaves.init.forall(_.occupancy == 50))
     assert(t.avgLeafFill > 0.95)
   }
-  test("bulk load with partial fill factor leaves headroom") {
-    val disk = new DiskModel()
-    val t = CoconutTree.bulkLoad(data, p, 50, mem(1L << 30), disk, materialized = false, fill = 0.5)
-    assert(t.leaves.init.forall(_.occupancy == 25))
-  }
   test("leaves are globally sorted by invSAX") {
     val t = build(mat = false)
     val all = t.leaves.flatMap(_.entries.map(_.inv))
@@ -41,7 +36,7 @@ class CoconutTreeSpec extends AnyFunSuite {
   test("leaf file positions are contiguous after bulk load") {
     val t = build(mat = false)
     var pos = 0L
-    t.leaves.foreach { l => assert(l.filePos == pos); pos += l.occupancy }
+    t.leaves.foreach { l => assert(l.start == pos); pos += l.occupancy }
   }
   test("index name reflects materialization") {
     assert(build(mat = true).name == "CTreeFull")
@@ -126,7 +121,7 @@ class CoconutTreeSpec extends AnyFunSuite {
     assert(t.leafCount == 31)
     assert(t.leaves.init.forall(_.occupancy == 50) && t.leaves.last.occupancy == 10)
     var pos = 0L
-    t.leaves.foreach { l => assert(l.filePos == pos); pos += l.occupancy }
+    t.leaves.foreach { l => assert(l.start == pos); pos += l.occupancy }
   }
   test("few large batches cost less I/O than many small batches") {
     def runBatches(sizes: Seq[Int]): Double = {
@@ -183,7 +178,7 @@ class CoconutTreeSpec extends AnyFunSuite {
     val c = math.max(0, t.leaves.lastIndexWhere(_.key <= qInv))
     val window = t.leaves.slice(math.max(0, c - radius), math.min(t.leafCount, c + radius + 1))
     t.disk.file(if (t.materialized) "ctree-full-index" else "ctree-index", 0)
-      .readRange(window.head.filePos, window.map(_.occupancy.toLong).sum)
+      .readRange(window.head.start, window.map(_.occupancy.toLong).sum)
     val entries = window.flatMap(_.entries)
     if (t.materialized) entries.foreach(e => best.offer(e.id))
     else {
@@ -202,7 +197,7 @@ class CoconutTreeSpec extends AnyFunSuite {
       l <- t.leaves; i <- 0 until l.occupancy
       e = l.entries(i)
       lb = SAX.minDistPaaToSax(qPaa, InvSAX.fromLong(e.inv, p), p) if lb < best.dist
-    } yield ((if (t.materialized) l.filePos + i else e.id.toLong).toInt, e.id, lb)
+    } yield ((if (t.materialized) l.start + i else e.id.toLong).toInt, e.id, lb)
     val cands = new Candidates
     survivors.sortBy(_._1).foreach { case (pos, id, lb) => cands.add(pos, id, lb) }
     val raw = t.disk.file("raw", 0)
@@ -245,6 +240,17 @@ class CoconutTreeSpec extends AnyFunSuite {
   test("bulkLoad rejects empty input") {
     intercept[IllegalArgumentException] {
       CoconutTree.bulkLoad(Array.empty, p, 10, 1L << 20, new DiskModel(), materialized = false)
+    }
+  }
+  test("bulkLoad rejects a leaf capacity below 1") {
+    for (cap <- Seq(0, -5)) {
+      val e = intercept[IllegalArgumentException] {
+        CoconutTree.bulkLoad(data, p, cap, 1L << 20, new DiskModel(), materialized = false)
+      }
+      assert(e.getMessage.contains("leaf capacity must be at least 1"))
+      intercept[IllegalArgumentException] {
+        CoconutTrie.bulkLoad(data, p, cap, 1L << 20, new DiskModel(), materialized = true)
+      }
     }
   }
 }

@@ -36,20 +36,18 @@ class CoconutTrieSpec extends AnyFunSuite {
   }
   test("leaves respect prefix boundaries: each leaf spans one z-order subtree") {
     val t = build(mat = false, cap = 50)
-    // For every pair of consecutive leaves, the common bit-prefix of a
-    // leaf's entries is not shared with the neighbor's first entry.
-    t.leaves.foreach { l =>
-      val invs = l.entries.map(e => e.inv ^ Long.MinValue)
-      if (invs.length > 1) {
-        // common prefix length of first and last entry
-        val xor = invs.head ^ invs.last
-        val plen = if (xor == 0) 64 else java.lang.Long.numberOfLeadingZeros(xor)
-        assert(plen >= 0) // trivially holds; structural check below is the real one
-      }
+    // Number of leading key bits two keys share.
+    def lcp(a: Long, b: Long): Int = java.lang.Long.numberOfLeadingZeros(a ^ b)
+    // Neighbouring leaves A and B diverge above both leaves' own prefixes:
+    // the keys that straddle the cut share fewer bits than either leaf's
+    // first and last key do.
+    t.leaves.sliding(2).foreach { case Seq(a, b) =>
+      val (aFirst, aLast) = (a.entries.head.inv, a.entries.last.inv)
+      val (bFirst, bLast) = (b.entries.head.inv, b.entries.last.inv)
+      val across = lcp(aLast, bFirst)
+      assert(across < lcp(aFirst, aLast) && across < lcp(bFirst, bLast),
+        s"leaves at ${a.start} and ${b.start} share a $across-bit prefix across their cut")
     }
-    // Structural: leaf start keys are monotone in z-order.
-    val bounds = t.leaves.map(_.entries.head.inv)
-    assert(bounds == bounds.sorted)
   }
   test("prefix splitting yields lower fill than median splitting") {
     val trie = build(mat = false, cap = 50)

@@ -92,15 +92,6 @@ class DiskModelSpec extends AnyFunSuite {
     val delta = d.snapshot - s1
     assert(delta.randomOps == 1 && delta.blocksWritten == 1 && delta.blocksRead == 0)
   }
-  test("reset clears counters and cursors") {
-    val d = freshDisk
-    val f = d.file("a", 100)
-    f.scan(50)
-    d.reset()
-    assert(d.randomOps == 0 && d.seqBlocks == 0 && d.elapsedMs == 0.0)
-    f.readRecord(0)
-    assert(d.randomOps == 1) // cursor was reset, so this is a fresh seek
-  }
   test("files are memoized by name") {
     val d = freshDisk
     assert(d.file("x", 100) eq d.file("x", 100))
@@ -125,11 +116,5 @@ class DiskModelSpec extends AnyFunSuite {
     // 1000 records, memory for exactly 1000 -> fits, no I/O
     assert(ExternalSort.charge(f, 1000, memBytes = 100 * 1000) == 1)
     assert(d.blocksRead == 0)
-  }
-  test("write record in place charges a random write when far from cursor") {
-    val d = freshDisk
-    val f = d.file("a", 100)
-    f.writeRecord(55)
-    assert(d.randomOps == 1 && d.blocksWritten == 1)
   }
 }
