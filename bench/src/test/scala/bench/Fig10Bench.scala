@@ -11,7 +11,7 @@ import repro.bench.Experiments
   * size scales with the index:batch size ratio (see EXPERIMENTS.md).
   */
 class Fig10aUpdates extends AnyFunSuite {
-  private lazy val t = Figures.fig10a
+  private lazy val Seq(t) = Experiments.figure("10a").tables
 
   test("render Fig 10a") { println(t.render) }
   test("ADS+ wins for fully fragmented (single-series) updates") {
@@ -35,8 +35,8 @@ class Fig10aUpdates extends AnyFunSuite {
   * the astronomy-like and seismic-like datasets.
   */
 class Fig10bcRealDatasets extends AnyFunSuite {
-  private lazy val astro = Figures.fig10b
-  private lazy val seis = Figures.fig10c
+  private lazy val Seq(astro) = Experiments.figure("10b").tables
+  private lazy val Seq(seis) = Experiments.figure("10c").tables
 
   test("render Fig 10b/10c") { println(astro.render); println(seis.render) }
   test("constrained memory: Coconut wins the materialized workload on both datasets") {

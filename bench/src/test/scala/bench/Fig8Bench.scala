@@ -10,7 +10,7 @@ import repro.bench.Experiments
   * O(N·D) sorting; DSTree is orders of magnitude slowest.
   */
 class Fig8aConstructionMaterialized extends AnyFunSuite {
-  private lazy val t = Figures.fig8a
+  private lazy val Seq(t) = Experiments.figure("8a").tables
   private val mems = Experiments.memoryConfigs.map(_._1)
 
   test("render Fig 8a") { println(t.render) }
@@ -44,7 +44,7 @@ class Fig8aConstructionMaterialized extends AnyFunSuite {
 
 /** Fig. 8b — non-materialized construction vs memory. */
 class Fig8bConstructionNonMaterialized extends AnyFunSuite {
-  private lazy val t = Figures.fig8b
+  private lazy val Seq(t) = Experiments.figure("8b").tables
   private val mems = Experiments.memoryConfigs.map(_._1)
 
   test("render Fig 8b") { println(t.render) }
@@ -65,7 +65,7 @@ class Fig8bConstructionNonMaterialized extends AnyFunSuite {
 
 /** Fig. 8c — storage footprint and leaf fill factors. */
 class Fig8cSpace extends AnyFunSuite {
-  private lazy val (space, fill) = Figures.fig8c
+  private lazy val Seq(space, fill) = Experiments.figure("8c").tables
 
   test("render Fig 8c") { println(space.render); println(fill.render) }
   test("CTreeFull has the smallest materialized footprint") {
@@ -91,7 +91,7 @@ class Fig8cSpace extends AnyFunSuite {
 
 /** Fig. 8d/8e — fixed memory, growing data. */
 class Fig8dGrowingDataMaterialized extends AnyFunSuite {
-  private lazy val t = Figures.fig8d
+  private lazy val Seq(t) = Experiments.figure("8d").tables
   private val ns = Seq(2500, 5000, 10000, 20000).map(n => s"N=$n")
 
   test("render Fig 8d") { println(t.render) }
@@ -104,7 +104,7 @@ class Fig8dGrowingDataMaterialized extends AnyFunSuite {
 }
 
 class Fig8eGrowingDataNonMaterialized extends AnyFunSuite {
-  private lazy val t = Figures.fig8e
+  private lazy val Seq(t) = Experiments.figure("8e").tables
   private val ns = Seq(2500, 5000, 10000, 20000).map(n => s"N=$n")
 
   test("render Fig 8e") { println(t.render) }
@@ -116,7 +116,7 @@ class Fig8eGrowingDataNonMaterialized extends AnyFunSuite {
 
 /** Fig. 8f — variable series length at fixed volume. */
 class Fig8fSeriesLength extends AnyFunSuite {
-  private lazy val t = Figures.fig8f
+  private lazy val Seq(t) = Experiments.figure("8f").tables
   private val lens = Seq(64, 128, 256, 512).map(l => s"len=$l")
 
   test("render Fig 8f") { println(t.render) }

@@ -2,12 +2,14 @@ package bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.bench.Experiments
+
 /** Fig. 9a — exact query time vs data size. Asserts the paper's shape:
   * the contiguous, compact Coconut indexes beat their ADS counterparts,
   * with a gap that widens as the data grows; the R-tree family trails.
   */
 class Fig9aExact extends AnyFunSuite {
-  private lazy val t = Figures.fig9a
+  private lazy val Seq(t) = Experiments.figure("9a").tables
   private val ns = Seq(2500, 5000, 10000, 20000).map(n => s"N=$n")
 
   test("render Fig 9a") { println(t.render) }
@@ -34,7 +36,7 @@ class Fig9aExact extends AnyFunSuite {
 
 /** Fig. 9b — approximate query time vs data size. */
 class Fig9bApprox extends AnyFunSuite {
-  private lazy val t = Figures.fig9b
+  private lazy val Seq(t) = Experiments.figure("9b").tables
   private val ns = Seq(2500, 5000, 10000, 20000).map(n => s"N=$n")
 
   test("render Fig 9b") { println(t.render) }
@@ -62,7 +64,7 @@ class Fig9bApprox extends AnyFunSuite {
   * including the CTree(radius) sweep on the large configuration.
   */
 class Fig9cdefQuality extends AnyFunSuite {
-  private lazy val (c, d, e, f) = Figures.fig9cdef
+  private lazy val Seq(c, d, e, f) = Experiments.figure("9cdef").tables
 
   test("render Fig 9c-f") { println(c.render); println(d.render); println(e.render); println(f.render) }
   test("9d: approximate answers of CTree(1) beat ADSFull and ADS+ on average") {

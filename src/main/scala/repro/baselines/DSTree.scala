@@ -48,12 +48,9 @@ final class DSTree private (
     out.toSeq
   }
   def leafCount: Int = collectLeaves.size
-  def avgLeafFill: Double = {
-    val ls = collectLeaves
-    if (ls.isEmpty) 0.0 else ls.map(_.ids.length.toDouble / leafCapacity).sum / ls.size
-  }
+  def avgLeafFill: Double = SeriesIndex.meanFill(collectLeaves.map(_.ids.length), leafCapacity)
   def storagePages: Long =
-    collectLeaves.map(l => SeriesIndex.pages(l.ids.length.toLong * indexFile.recordBytes)).sum
+    SeriesIndex.leafPages(collectLeaves.map(_.ids.length), indexFile.recordBytes)
 
   /** EAPCA-style lower bound from query segment stats to a node's ranges. */
   private def nodeLb(qMean: Array[Double], qStd: Array[Double], n: Node): Double = {
@@ -142,8 +139,8 @@ object DSTree {
   /** Build by unbuffered top-down insertion (the paper's cost profile). */
   def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             disk: DiskModel): DSTree = {
-    require(data.nonEmpty)
-    val rawBytes = data(0).length * 8
+    SeriesIndex.checkData(data, p.n)
+    val rawBytes = p.n * 8
     val rawFile = disk.file("raw", rawBytes)
     val indexFile = disk.file("dstree-index", rawBytes + 8)
     val stats = data.map(s => segmentStats(s, p.w))

@@ -46,7 +46,7 @@ final class ISaxIndex private[baselines] (
   import ISaxIndex.Node
 
   private val sumBytes = params.wordBytes + 8
-  private val rawBytes = data(0).length * 8
+  private val rawBytes = params.n * 8
   private[baselines] val rawFile: SimFile = disk.file("raw", rawBytes)
   private[baselines] val indexFile: SimFile =
     disk.file(if (materialized) "ads-full-index" else "ads-index",
@@ -74,13 +74,10 @@ final class ISaxIndex private[baselines] (
   }
 
   def leafCount: Int = collectLeaves.size
-  def avgLeafFill: Double = {
-    val ls = collectLeaves
-    if (ls.isEmpty) 0.0 else ls.map(_.ids.length.toDouble / leafCapacity).sum / ls.size
-  }
+  def avgLeafFill: Double = SeriesIndex.meanFill(collectLeaves.map(_.ids.length), leafCapacity)
   /** Split-scattered leaves allocate individually. */
   def storagePages: Long =
-    collectLeaves.map(l => SeriesIndex.pages(l.ids.length.toLong * indexFile.recordBytes)).sum
+    SeriesIndex.leafPages(collectLeaves.map(_.ids.length), indexFile.recordBytes)
 
   // ------------------------------------------------------------------ build
 
@@ -312,7 +309,7 @@ object ISaxIndex {
     */
   def empty(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
-    require(data.nonEmpty, "cannot index an empty dataset")
+    SeriesIndex.checkData(data, p.n)
     new ISaxIndex(if (materialized) "ADSFull" else "ADS+",
                   p, data, materialized, disk, leafCapacity, memBytes)
   }

@@ -39,8 +39,7 @@ final class RTreeSTR private (
   def size: Int = data.length
   def leafCount: Int = leafStarts.length - 1
   def avgLeafFill: Double =
-    (0 until leafCount).map(l => (leafStarts(l + 1) - leafStarts(l)).toDouble / leafCapacity)
-      .sum / math.max(1, leafCount)
+    SeriesIndex.meanFill((0 until leafCount).map(l => leafStarts(l + 1) - leafStarts(l)), leafCapacity)
   /** STR-packed leaves are contiguous: one extent of occupied bytes. */
   def storagePages: Long =
     SeriesIndex.pages(size.toLong * indexFile.recordBytes)
@@ -106,9 +105,9 @@ object RTreeSTR {
     */
   def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): RTreeSTR = {
-    require(data.nonEmpty)
+    SeriesIndex.checkData(data, p.n)
     val n = data.length
-    val rawBytes = data(0).length * 8
+    val rawBytes = p.n * 8
     val paaBytes = p.w * 8 + 8
     val rawFile = disk.file("raw", rawBytes)
     val recBytes = if (materialized) rawBytes + paaBytes else paaBytes

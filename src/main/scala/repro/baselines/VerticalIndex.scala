@@ -143,9 +143,9 @@ object VerticalIndex {
 
   /** Build the vertical layout: one pass over the raw file per level. */
   def build(data: Array[Array[Double]], p: SaxParams, disk: DiskModel): VerticalIndex = {
-    require(data.nonEmpty)
+    SeriesIndex.checkData(data, p.n)
     val n = data.length
-    val len = data(0).length
+    val len = p.n
     val rawFile = disk.file("raw", len * 8)
     val coeffs = data.map(haar)
     val starts = levelStarts(len)

@@ -6,9 +6,16 @@ import repro.index.SeriesIndex
 import repro.series.{SaxParams, SeriesGen}
 import repro.storage.DiskModel
 
-/** The paper's evaluation (§5), one function per figure family. Each
-  * returns [[Table]]s whose rows are regenerated by the `bench/` suites
-  * and the `jobs/` entrypoints and recorded against the paper's numbers in
+/** A figure family of the paper's evaluation: its name and its tables,
+  * computed once, on first use, and shared by every reader.
+  */
+final class Figure(val name: String, compute: => Seq[Table]) {
+  lazy val tables: Seq[Table] = compute
+}
+
+/** The paper's evaluation (§5): [[figures]] lists every figure family in
+  * the paper's order. Its tables are printed by `jobs.Figures`, checked by
+  * the `bench/` suites and recorded against the paper's numbers in
   * EXPERIMENTS.md.
   *
   * Scale substitution (see DESIGN.md §4): the paper indexes 10–277 GB on a
@@ -19,19 +26,55 @@ import repro.storage.DiskModel
   */
 object Experiments {
 
-  /** Default workload configuration (paper: random walk, length 256,
-    * 16-segment SAX at 8 bits; ours is proportionally scaled down). Its
-    * dataset and queries are generated once, on first use, so every
-    * [[grid]] column that shares a `Cfg` shares one dataset.
+  /** Every figure family, in the paper's order. */
+  val figures: Seq[Figure] = Seq(
+    new Figure("8a", Seq(constructionTable("Fig 8a — construction, materialized (modelled I/O seconds)",
+                                           Seq("CTreeFull", "CTrieFull", "ADSFull", "R-tree", "Vertical", "DSTree")))),
+    new Figure("8b", Seq(constructionTable("Fig 8b — construction, non-materialized (modelled I/O seconds)",
+                                           Seq("CTree", "CTrie", "ADS+", "R-tree+")))),
+    new Figure("8c", fig8c),
+    new Figure("8d", Seq(fig8de(materialized = true))),
+    new Figure("8e", Seq(fig8de(materialized = false))),
+    new Figure("8f", Seq(fig8f)),
+    new Figure("9a", Seq(queryTable("Fig 9a — exact search (modelled I/O ms per query)",
+                                    Seq("CTreeFull", "CTree", "ADSFull", "ADS+", "R-tree", "R-tree+"), exact = true))),
+    new Figure("9b", Seq(queryTable("Fig 9b — approximate search (modelled I/O ms per query)",
+                                    Seq("CTreeFull", "CTree", "ADSFull", "ADS+"), exact = false))),
+    new Figure("9cdef", fig9cdef),
+    new Figure("10a", Seq(fig10a)),
+    new Figure("10b", Seq(fig10bc("astronomy"))),
+    new Figure("10c", Seq(fig10bc("seismic"))),
+  )
+
+  /** The figure called `name`. */
+  def figure(name: String): Figure =
+    figures.find(_.name == name).getOrElse(throw new IllegalArgumentException(
+      s"unknown figure: $name (known: ${figures.map(_.name).mkString(", ")})"))
+
+  /** Every table of `figs`, in order, each followed by a blank line. */
+  def render(figs: Seq[Figure]): String = figs.flatMap(_.tables).map(_.render + "\n").mkString
+
+  /** Every workload's SAX shape, leaf capacity and seed (paper: 16 × 8 bits, leaves of 2000). */
+  private val Segments = 8
+  private val Bits = 6
+  private val LeafCapacity = 100
+  private val Seed = 1L
+
+  /** A workload: `n` series of length `len` from generator `kind`, and
+    * `nQueries` queries. The default is random walks of length 64 (paper:
+    * 256). Its dataset and queries are generated once, on first use, so
+    * every [[grid]] column that shares a `Cfg` shares one dataset.
     */
-  final case class Cfg(n: Int = 20000, len: Int = 64, w: Int = 8, bits: Int = 6,
-                       leafCap: Int = 100, kind: String = "walk", seed: Long = 1,
-                       nQueries: Int = 50) {
-    def p: SaxParams = SaxParams(len, w, bits)
+  private final case class Cfg(n: Int = 20000, len: Int = 64, kind: String = "walk", nQueries: Int = 50) {
+    def p: SaxParams = SaxParams(len, Segments, Bits)
     def rawBytes: Long = n.toLong * len * 8
-    lazy val data: Array[Array[Double]] = SeriesGen.dataset(kind, n, len, seed)
-    lazy val queries: Array[Array[Double]] = SeriesGen.queries(kind, nQueries, len, seed)
+    lazy val data: Array[Array[Double]] = SeriesGen.dataset(kind, n, len, Seed)
+    lazy val queries: Array[Array[Double]] = SeriesGen.queries(kind, nQueries, len, Seed)
   }
+
+  private val Default = Cfg()
+  /** Data sizes of the growing-data figures (8d, 8e, 9a, 9b). */
+  private val Sizes = Seq(2500, 5000, 10000, 20000)
 
   /** Build one index by its paper name on a fresh disk model. */
   def build(system: String, data: Array[Array[Double]], p: SaxParams, cap: Int,
@@ -60,7 +103,7 @@ object Experiments {
                   (measure: (SeriesIndex, Cfg) => Double): Table =
     Table.build(title, unit, columns.map(_._1), systems) { put =>
       for ((label, cfg, memBytes) <- columns; s <- systems)
-        put(s, label, measure(build(s, cfg.data, cfg.p, cfg.leafCap, memBytes), cfg))
+        put(s, label, measure(build(s, cfg.data, cfg.p, LeafCapacity, memBytes), cfg))
     }
 
   /** The [[grid]] measure of modelled I/O seconds charged to the index's
@@ -73,29 +116,19 @@ object Experiments {
 
   // ------------------------------------------------------------- Figure 8a/8b
 
-  /** Fig. 8a: materialized index construction time vs available memory. */
-  def fig8a(cfg: Cfg = Cfg()): Table =
-    constructionTable("Fig 8a — construction, materialized (modelled I/O seconds)",
-                      Seq("CTreeFull", "CTrieFull", "ADSFull", "R-tree", "Vertical", "DSTree"), cfg)
-
-  /** Fig. 8b: non-materialized index construction time vs available memory. */
-  def fig8b(cfg: Cfg = Cfg()): Table =
-    constructionTable("Fig 8b — construction, non-materialized (modelled I/O seconds)",
-                      Seq("CTree", "CTrie", "ADS+", "R-tree+"), cfg)
-
-  /** Construction seconds of `systems` at every memory configuration. */
-  private def constructionTable(title: String, systems: Seq[String], cfg: Cfg): Table =
+  /** Fig. 8a/8b: construction seconds of `systems` at every memory configuration. */
+  private def constructionTable(title: String, systems: Seq[String]): Table =
     grid(title, "s", systems,
-         memoryConfigs.map { case (label, frac) => (label, cfg, (cfg.rawBytes * frac).toLong) })(ioSeconds)
+         memoryConfigs.map { case (label, frac) => (label, Default, (Default.rawBytes * frac).toLong) })(ioSeconds)
 
   // --------------------------------------------------------------- Figure 8c
 
   /** Fig. 8c: index storage footprint (MB) + leaf fill factor. */
-  def fig8c(cfg: Cfg = Cfg()): (Table, Table) = {
-    val data = cfg.data
+  private def fig8c: Seq[Table] = {
+    val cfg = Default
     val systems = Seq("CTreeFull", "CTrieFull", "ADSFull", "R-tree", "DSTree",
                       "CTree", "CTrie", "ADS+", "R-tree+")
-    val built = systems.map(s => s -> build(s, data, cfg.p, cfg.leafCap, cfg.rawBytes)).toMap
+    val built = systems.map(s => s -> build(s, cfg.data, cfg.p, LeafCapacity, cfg.rawBytes)).toMap
     val space = Table.build("Fig 8c — index storage (MB; raw data = %.1f MB)".format(cfg.rawBytes / 1e6),
                             "MB", Seq("space"), systems) { put =>
       systems.foreach(s =>
@@ -104,7 +137,7 @@ object Experiments {
     val fill = Table.build("Fig 8c — mean leaf fill factor", "fraction", Seq("fill"), systems) { put =>
       systems.foreach(s => put(s, "fill", built(s).avgLeafFill))
     }
-    (space, fill)
+    Seq(space, fill)
   }
 
   // ------------------------------------------------------------ Figure 8d/8e
@@ -112,31 +145,30 @@ object Experiments {
   /** Fig. 8d/8e: fixed memory, growing data size. `materialized` selects
     * the 8d (CTreeFull vs ADSFull) or 8e (CTree vs ADS+) pairing.
     */
-  def fig8de(materialized: Boolean, sizes: Seq[Int] = Seq(2500, 5000, 10000, 20000),
-             base: Cfg = Cfg()): Table = {
+  private def fig8de(materialized: Boolean): Table = {
     val systems = if (materialized) Seq("CTreeFull", "ADSFull") else Seq("CTree", "ADS+")
     // Memory fixed in absolute terms, sized to hold the *smallest*
     // dataset's working set (the paper's fixed 8 GB desktop vs gradually
     // growing data): raw records for the materialized pairing, summary
     // records for the non-materialized one — ample on the left of the
     // axis, scarce on the right.
-    val smallest = base.copy(n = sizes.head)
+    val smallest = Default.copy(n = Sizes.head)
     val memBytes =
       if (materialized) (smallest.rawBytes * 1.1).toLong
-      else (sizes.head.toLong * (smallest.p.wordBytes + 8) * 11 / 10)
+      else (Sizes.head.toLong * (smallest.p.wordBytes + 8) * 11 / 10)
     grid(s"Fig 8${if (materialized) "d" else "e"} — fixed memory, growing data", "s", systems,
-         sizes.map(n => (s"N=$n", base.copy(n = n), memBytes)))(ioSeconds)
+         Sizes.map(n => (s"N=$n", Default.copy(n = n), memBytes)))(ioSeconds)
   }
 
   // --------------------------------------------------------------- Figure 8f
 
   /** Fig. 8f: variable series length at a fixed total volume, tight memory. */
-  def fig8f(base: Cfg = Cfg()): Table = {
+  private def fig8f: Table = {
     val shapes = Seq((64, 20000), (128, 10000), (256, 5000), (512, 2500))
     val systems = Seq("CTreeFull", "CTree", "ADSFull", "ADS+")
     grid("Fig 8f — variable series length (fixed total volume, mem=2%)", "s", systems,
          shapes.map { case (len, n) =>
-           val cfg = base.copy(n = n, len = len)
+           val cfg = Cfg(n = n, len = len)
            (s"len=$len", cfg, (cfg.rawBytes * 0.02).toLong)
          })(ioSeconds)
   }
@@ -147,7 +179,7 @@ object Experiments {
     * distance per query of `queries` on the built index `idx`.
     */
   private def queryStats(idx: SeriesIndex, queries: Array[Array[Double]],
-                         exact: Boolean, radius: Int = 1): (Double, Double, Double) = {
+                         exact: Boolean, radius: Int): (Double, Double, Double) = {
     val disk = idx.disk
     var ms = 0.0; var visited = 0.0; var dist = 0.0
     for (q <- queries) {
@@ -160,23 +192,14 @@ object Experiments {
     (ms / queries.length, visited / queries.length, dist / queries.length)
   }
 
-  /** Fig. 9a: exact query time vs data size. */
-  def fig9a(sizes: Seq[Int] = Seq(2500, 5000, 10000, 20000), base: Cfg = Cfg()): Table =
-    queryTable("Fig 9a — exact search (modelled I/O ms per query)",
-               Seq("CTreeFull", "CTree", "ADSFull", "ADS+", "R-tree", "R-tree+"), exact = true, sizes, base)
-
-  /** Fig. 9b: approximate query time vs data size. */
-  def fig9b(sizes: Seq[Int] = Seq(2500, 5000, 10000, 20000), base: Cfg = Cfg()): Table =
-    queryTable("Fig 9b — approximate search (modelled I/O ms per query)",
-               Seq("CTreeFull", "CTree", "ADSFull", "ADS+"), exact = false, sizes, base)
-
-  /** Query milliseconds of `systems` at every data size, mem=10%. */
-  private def queryTable(title: String, systems: Seq[String], exact: Boolean,
-                         sizes: Seq[Int], base: Cfg): Table =
-    grid(title, "ms", systems, sizes.map { n =>
-      val cfg = base.copy(n = n)
+  /** Fig. 9a/9b: exact or approximate query milliseconds of `systems` at
+    * every data size, mem=10%, radius 1.
+    */
+  private def queryTable(title: String, systems: Seq[String], exact: Boolean): Table =
+    grid(title, "ms", systems, Sizes.map { n =>
+      val cfg = Default.copy(n = n)
       (s"N=$n", cfg, (cfg.rawBytes * 0.1).toLong)
-    })((idx, cfg) => queryStats(idx, cfg.queries, exact)._1)
+    })((idx, cfg) => queryStats(idx, cfg.queries, exact, radius = 1)._1)
 
   // --------------------------------------------------------- Figure 9c/d/e/f
 
@@ -184,16 +207,16 @@ object Experiments {
     * and visited records (9f) on the 40 GB-equivalent dataset, including
     * the CTree(radius) sweep.
     */
-  def fig9cdef(cfg: Cfg = Cfg()): (Table, Table, Table, Table) = {
-    val data = cfg.data; val queries = cfg.queries
-    val mem = (cfg.rawBytes * 0.1).toLong
+  private def fig9cdef: Seq[Table] = {
+    val data = Default.data; val queries = Default.queries
+    val mem = (Default.rawBytes * 0.1).toLong
     // (label, system, radius)
     val variants = Seq(("CTree(0)", "CTree", 0), ("CTree(1)", "CTree", 1),
                        ("CTree(10)", "CTree", 10), ("CTreeFull(1)", "CTreeFull", 1),
                        ("ADSFull", "ADSFull", 0), ("ADS+", "ADS+", 0))
     val stats = variants.map { case (label, sys, r) =>
-      val approx = queryStats(build(sys, data, cfg.p, cfg.leafCap, mem), queries, exact = false, radius = r)
-      val exact = queryStats(build(sys, data, cfg.p, cfg.leafCap, mem), queries, exact = true, radius = r)
+      val approx = queryStats(build(sys, data, Default.p, LeafCapacity, mem), queries, exact = false, radius = r)
+      val exact = queryStats(build(sys, data, Default.p, LeafCapacity, mem), queries, exact = true, radius = r)
       label -> (approx, exact)
     }.toMap
     val labels = variants.map(_._1)
@@ -201,12 +224,12 @@ object Experiments {
       Table.build(title, unit, Seq(unit), labels) { put =>
         labels.foreach(l => put(l, unit, f(stats(l)._1, stats(l)._2)))
       }
-    (tbl("Fig 9c — approximate search time", "ms", (a, _) => a._1),
-     tbl("Fig 9d — approximate answer quality (avg ED)", "ED", (a, _) => a._3),
-     tbl("Fig 9e — exact search time", "ms", (_, e) => e._1),
-     // 9f counts refinement-phase fetches (exact minus approximate-phase
-     // candidates) so materialized and non-materialized systems compare.
-     tbl("Fig 9f — exact search visited records", "records", (a, e) => e._2 - a._2))
+    Seq(tbl("Fig 9c — approximate search time", "ms", (a, _) => a._1),
+        tbl("Fig 9d — approximate answer quality (avg ED)", "ED", (a, _) => a._3),
+        tbl("Fig 9e — exact search time", "ms", (_, e) => e._1),
+        // 9f counts refinement-phase fetches (exact minus approximate-phase
+        // candidates) so materialized and non-materialized systems compare.
+        tbl("Fig 9f — exact search visited records", "records", (a, e) => e._2 - a._2))
   }
 
   // -------------------------------------------------------------- Figure 10a
@@ -217,9 +240,11 @@ object Experiments {
     * Coconut bulk-loads each batch (sorted merge into the index); ADS+
     * inserts top-down through its buffer.
     */
-  def fig10a(batchSizes: Seq[Int] = Seq(1, 2, 10, 100, 1000), cfg: Cfg = Cfg()): Table = {
+  private def fig10a: Table = {
+    val cfg = Default
+    val batchSizes = Seq(1, 2, 10, 100, 1000)
     val data = cfg.data
-    val queries = SeriesGen.queries(cfg.kind, 20, cfg.len, cfg.seed)
+    val queries = cfg.queries.take(20)
     val half = cfg.n / 2
     val memBytes = math.max(1024L, (cfg.rawBytes * 0.0001).toLong) // paper: 0.01% of the data
     // Updates stress transfer-vs-seek; model an SSD-class device so the
@@ -253,13 +278,13 @@ object Experiments {
         }
         // Coconut-Tree: initial bulk load + per-batch sorted merge.
         run("CTree") { disk =>
-          val t = CoconutTree.bulkLoad(data.slice(0, half), cfg.p, cfg.leafCap, memBytes, disk,
+          val t = CoconutTree.bulkLoad(data.slice(0, half), cfg.p, LeafCapacity, memBytes, disk,
                                        materialized = false)
           (t, (from, until) => t.bulkInsertMerge(data.slice(from, until)))
         }
         // ADS+: initial build + top-down batch inserts.
         run("ADS+") { disk =>
-          val a = ISaxIndex.empty(data, cfg.p, cfg.leafCap, memBytes, disk, materialized = false)
+          val a = ISaxIndex.empty(data, cfg.p, LeafCapacity, memBytes, disk, materialized = false)
           a.insertSlice(0, half)
           (a, a.insertSlice)
         }
@@ -272,8 +297,8 @@ object Experiments {
   /** Fig. 10b/10c: complete workload (construction + 100 exact queries) on
     * the real-dataset stand-ins, across memory configurations.
     */
-  def fig10bc(kind: String, cfg0: Cfg = Cfg()): Table = {
-    val cfg = cfg0.copy(kind = kind, n = 15000, nQueries = 100)
+  private def fig10bc(kind: String): Table = {
+    val cfg = Cfg(n = 15000, kind = kind, nQueries = 100)
     grid(s"Fig 10${if (kind == "astronomy") "b" else "c"} — complete workload, $kind-like data", "s",
          Seq("CTreeFull", "CTree", "ADSFull", "ADS+"),
          Seq("mem=50%" -> 0.5, "mem=2%" -> 0.02).map { case (label, frac) =>

@@ -69,13 +69,13 @@ final class CoconutTree private[core] (
   def leaves: IndexedSeq[Leaf] = ArraySeq.unsafeWrapArray(leafDir)
   def size: Int = data.length
   def leafCount: Int = leafDir.length
-  def avgLeafFill: Double = leaves.map(l => l.occupancy.toDouble / l.capacity).sum / leafDir.length
+  def avgLeafFill: Double = SeriesIndex.meanFill(leaves.map(_.occupancy), leafCapacity)
   /** Contiguously packed leaves: one extent of occupied bytes (per-leaf
     * allocations for the prefix-split trie variant).
     */
   def storagePages: Long =
     if (perLeafAlloc)
-      leaves.map(l => SeriesIndex.pages(l.occupancy.toLong * indexFile.recordBytes)).sum
+      SeriesIndex.leafPages(leaves.map(_.occupancy), indexFile.recordBytes)
     else
       SeriesIndex.pages(store.size.toLong * indexFile.recordBytes)
 
@@ -135,6 +135,7 @@ final class CoconutTree private[core] (
     */
   def bulkInsertMerge(batch: Array[Array[Double]]): Unit = {
     if (batch.isEmpty) return
+    SeriesIndex.checkData(batch, params.n)
     val base = data.length
     rawFile.appendRange(batch.length.toLong)                                   // batch lands in the raw file
     rawFile.resetCursor(); rawFile.readRange(base.toLong, batch.length.toLong) // summarize pass
@@ -142,8 +143,7 @@ final class CoconutTree private[core] (
     indexFile.appendRange((base + batch.length).toLong)                        // write the merged index
     data = data ++ batch
     store = Summaries.merge(store, CoconutTree.sortedRun(data, base, params))
-    val cap = leafDir.head.capacity
-    leafDir = CoconutTree.pack(store, CoconutTree.fixedCuts(store.size, cap), cap)
+    leafDir = CoconutTree.pack(store, CoconutTree.fixedCuts(store.size, leafCapacity), leafCapacity)
     leafKeys = leafDir.map(_.key)
   }
 }
@@ -179,10 +179,10 @@ object CoconutTree {
                           memBytes: Long, disk: DiskModel, materialized: Boolean)
                          (layout: (Summaries, SimFile, SimFile, Int) => collection.IndexedSeq[Int])
       : CoconutTree = {
-    require(data.nonEmpty, "cannot bulk-load an empty dataset")
+    SeriesIndex.checkData(data, p.n)
     require(leafCapacity >= 1, s"leaf capacity must be at least 1, got $leafCapacity")
     val n = data.length.toLong
-    val rawBytes = data(0).length * 8
+    val rawBytes = p.n * 8
     val recBytes = p.wordBytes + 8 + (if (materialized) rawBytes else 0) // invSAX + offset (+ series)
     val files = kind.toLowerCase + (if (materialized) "-full" else "")
     val rawFile = disk.file("raw", rawBytes)

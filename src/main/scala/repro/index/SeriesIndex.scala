@@ -66,6 +66,34 @@ object SeriesIndex {
       s"query must be $n finite values, like the indexed series; " +
       s"got ${q.length} values, ${q.count(v => !java.lang.Double.isFinite(v))} of them NaN or infinite")
 
+  /** Every build's and batch insert's entry check: at least one series,
+    * and each of the index's length `n`. Values are not checked for NaN or
+    * infinity here: that needs a pass over every value, about ten times the
+    * cost of this one.
+    */
+  def checkData(data: Array[Array[Double]], n: Int): Unit = {
+    require(data.nonEmpty, "cannot index an empty dataset")
+    var i = 0
+    while (i < data.length) {
+      require(data(i).length == n,
+        s"every series must have $n values, like the index's SAX parameters; series $i has ${data(i).length}")
+      i += 1
+    }
+  }
+
+  /** Mean leaf fill factor of leaves holding `occupancies` records of
+    * `capacity` each, summed in leaf order; 0 for no leaves.
+    */
+  def meanFill(occupancies: Iterable[Int], capacity: Int): Double =
+    if (occupancies.isEmpty) 0.0
+    else occupancies.foldLeft(0.0)((sum, occ) => sum + occ.toDouble / capacity) / occupancies.size
+
+  /** Allocation pages of leaves that each allocate their own extent of
+    * `occupancy` records of `recordBytes`.
+    */
+  def leafPages(occupancies: Iterable[Int], recordBytes: Int): Long =
+    occupancies.foldLeft(0L)((sum, occ) => sum + pages(occ.toLong * recordBytes))
+
   /** The leaves approximate search reads (Algorithm 4) in a key-ordered
     * leaf directory: the rightmost leaf whose first key is ≤ `key` (the
     * first leaf if none is) and `radius` leaves on each side, clamped to the

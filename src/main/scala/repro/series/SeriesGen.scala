@@ -80,7 +80,9 @@ object SeriesGen {
     case other       => throw new IllegalArgumentException(s"unknown dataset kind: $other")
   }
 
-  /** A dataset as a lazily-generated indexed collection. */
+  /** A dataset of `n` series, generated eagerly; series i depends only on
+    * (kind, i, len, seed).
+    */
   def dataset(kind: String, n: Int, len: Int, seed: Long): Array[Array[Double]] = {
     val gen = generator(kind)
     Array.tabulate(n)(i => gen(i.toLong, len, seed))

@@ -137,6 +137,20 @@ class CoconutTreeSpec extends AnyFunSuite {
     assert(fewLarge < manySmall,
       s"bulk loading larger batches must be cheaper: large=$fewLarge small=$manySmall")
   }
+  test("a batch holding a series of the wrong length is rejected before any charge or change") {
+    for (mat <- Seq(false, true)) {
+      val t = build(mat)
+      def state = (t.size, t.leaves.map(l => (l.start, l.occupancy, l.entries.toList)), t.disk.snapshot)
+      val before = state
+      val batch = SeriesGen.dataset("walk", 20, 64, seed = 99)
+      for (odd <- Seq(queries(0).take(56), queries(0) ++ queries(0).take(8))) {
+        val e = intercept[IllegalArgumentException](t.bulkInsertMerge(batch :+ odd))
+        assert(e.getMessage.contains(s"series 20 has ${odd.length}"))
+        assert(state == before)
+      }
+      assert(math.abs(t.exactSearch(queries(0)).dist - BruteForce.nn(data, queries(0)).dist) < 1e-9)
+    }
+  }
   test("negative radii are rejected before any search") {
     val t = build(mat = false)
     intercept[IllegalArgumentException](t.exactSearch(queries(0), -1))

@@ -3,6 +3,7 @@ package repro.index
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.baselines.{DSTree, ISaxIndex, RTreeSTR, VerticalIndex}
+import repro.bench.Experiments
 import repro.core.{CoconutTree, CoconutTrie}
 import repro.series.{SaxParams, Series, SeriesGen}
 import repro.storage.DiskModel
@@ -36,6 +37,20 @@ class AgreementSpec extends AnyFunSuite {
          search <- Seq[Array[Double] => SearchResult](idx.approxSearch(_), idx.exactSearch(_))) {
       val e = intercept[IllegalArgumentException](search(q))
       assert(e.getMessage.contains("query must be 64 finite values"), idx.name)
+    }
+  }
+
+  test("all ten systems reject a dataset holding a series of the wrong length") {
+    val p = SaxParams(n = 64, w = 8, bits = 6)
+    val data = SeriesGen.dataset("walk", 200, 64, seed = 71)
+    val q = SeriesGen.queries("walk", 1, 64, seed = 71)(0)
+    // One series cut short to the query's first 56 values, and one too long.
+    for (odd <- Seq(q.take(56), q ++ q.take(8));
+         system <- Seq("CTreeFull", "CTree", "CTrieFull", "CTrie", "ADSFull", "ADS+",
+                       "R-tree", "R-tree+", "DSTree", "Vertical")) {
+      val e = intercept[IllegalArgumentException](Experiments.build(system, data :+ odd, p, 30, 1L << 30))
+      assert(e.getMessage.contains(s"every series must have 64 values, like the index's SAX parameters; " +
+                                   s"series 200 has ${odd.length}"), system)
     }
   }
 
