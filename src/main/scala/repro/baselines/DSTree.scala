@@ -140,6 +140,7 @@ object DSTree {
   def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             disk: DiskModel): DSTree = {
     SeriesIndex.checkData(data, p.n)
+    SeriesIndex.checkSizes(leafCapacity)
     val rawBytes = p.n * 8
     val rawFile = disk.file("raw", rawBytes)
     val indexFile = disk.file("dstree-index", rawBytes + 8)

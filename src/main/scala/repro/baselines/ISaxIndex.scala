@@ -66,7 +66,7 @@ final class ISaxIndex private[baselines] (
   /** Number of series inserted so far (≤ data.length). */
   var size: Int = 0
 
-  private def collectLeaves: Seq[Node] = {
+  private[baselines] def collectLeaves: Seq[Node] = {
     val out = ArrayBuffer.empty[Node]
     def rec(nd: Node): Unit = if (nd.isLeaf) out += nd else { rec(nd.left); rec(nd.right) }
     root.values.foreach(rec)
@@ -86,7 +86,9 @@ final class ISaxIndex private[baselines] (
     * builds) and the buffered leaf read/write traffic.
     */
   def insertSlice(from: Int, until: Int): Unit = {
-    require(from == size, s"inserts must be consecutive: expected $size, got $from")
+    require(from == size && from <= until && until <= data.length,
+      s"an insert must be a range [from, until) with from = $size (the series inserted so far) and " +
+      s"from ≤ until ≤ ${data.length}; got [$from, $until)")
     rawFile.readRange(from.toLong, (until - from).toLong) // summarize pass
     if (materialized) { rawFile.resetCursor(); rawFile.readRange(from.toLong, (until - from).toLong) }
     var i = from
@@ -310,6 +312,7 @@ object ISaxIndex {
   def empty(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
     SeriesIndex.checkData(data, p.n)
+    SeriesIndex.checkSizes(leafCapacity, memBytes)
     new ISaxIndex(if (materialized) "ADSFull" else "ADS+",
                   p, data, materialized, disk, leafCapacity, memBytes)
   }

@@ -106,6 +106,7 @@ object RTreeSTR {
   def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): RTreeSTR = {
     SeriesIndex.checkData(data, p.n)
+    SeriesIndex.checkSizes(leafCapacity, memBytes)
     val n = data.length
     val rawBytes = p.n * 8
     val paaBytes = p.w * 8 + 8

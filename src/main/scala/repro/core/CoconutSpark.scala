@@ -61,8 +61,9 @@ object CoconutSpark {
     load(spark, path, p)
   }
 
-  /** Load an index from disk, rebuilding the leaf directory from the
-    * columnar files' own statistics.
+  /** Load an index from disk, rebuilding the leaf directory with one
+    * aggregation job: a `groupBy("leaf")` that takes the minimum and
+    * maximum `invsax` and the row count of each leaf over every row.
     */
   def load(spark: SparkSession, path: String, p: SaxParams): Index = {
     import spark.implicits._

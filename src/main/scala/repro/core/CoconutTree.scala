@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
-
 import repro.index.{Candidates, MinDist, Nearest, SearchResult, SeriesIndex, Summaries}
 import repro.series.{InvSAX, SAX, SaxParams, Series}
 import repro.storage.{DiskModel, ExternalSort, SimFile}
@@ -13,9 +11,10 @@ import repro.util.StableSort
 final case class Entry(inv: Long, id: Int)
 
 /** A leaf: `occupancy` consecutive records of the index's summary store,
-  * from record `start`. The leaves are contiguous in store order, so
-  * `start` is also the leaf's first record's position in the (simulated)
-  * index file, used for I/O accounting.
+  * from record `start`, the range between two of the tree's cut points.
+  * The leaves are contiguous in store order, so `start` is also the leaf's
+  * first record's position in the (simulated) index file, used for I/O
+  * accounting.
   */
 final class Leaf(val capacity: Int, val start: Int, val occupancy: Int, store: Summaries) {
   def key: Long = store.keys(start)
@@ -32,52 +31,54 @@ final class Leaf(val capacity: Int, val start: Int, val occupancy: Int, store: S
   }
 }
 
-/** Coconut-Tree (paper §4.3, Algorithm 3): a balanced, contiguous,
-  * densely-packed data series index bulk-loaded bottom-up from the
-  * invSAX-sorted run (UB-tree bulk loading). Each later batch is merged
-  * into that run and the leaves are packed again (§5.3).
+/** Coconut-Tree (paper §4.3, Algorithm 3) and Coconut-Trie (§4.2,
+  * Algorithm 2): a contiguous data series index bulk-loaded bottom-up from
+  * the invSAX-sorted run (UB-tree bulk loading). Each later batch is merged
+  * into that run and the leaves are cut again (§5.3).
   *
-  * The in-memory structure keeps the sorted leaf directory (equivalent to
-  * the internal B+-tree levels, which the paper also keeps in memory) plus
-  * the in-memory summarization array that `CoconutTreeSIMS` (Algorithm 5)
-  * scans; all secondary-storage traffic is charged to [[disk]]. The raw
-  * series are the caller's array, not a copy.
+  * The two variants differ only in where leaves are cut
+  * ([[CoconutTree.cutPoints]]): the tree packs every leaf but the last
+  * full, the trie cuts at prefix boundaries. The in-memory structure keeps
+  * the cut points (the leaf directory, equivalent to the internal B+-tree
+  * levels, which the paper also keeps in memory) plus the in-memory
+  * summarization array that `CoconutTreeSIMS` (Algorithm 5) scans; all
+  * secondary-storage traffic is charged to [[disk]]. The raw series are
+  * the caller's array, not a copy.
   *
-  * @param materialized if true, leaves store the raw series (CTreeFull);
-  *                     otherwise they store `(invSAX, offset)` pairs (CTree)
+  * @param trie         if true, leaves are cut at prefix boundaries (CTrie);
+  *                     otherwise into full, fixed-size groups (CTree)
+  * @param materialized if true, leaves store the raw series (…Full);
+  *                     otherwise they store `(invSAX, offset)` pairs
   */
 final class CoconutTree private[core] (
-    val name: String,
     val params: SaxParams,
     private var data: Array[Array[Double]],
     private var store: Summaries,
-    cuts: collection.IndexedSeq[Int],
     leafCapacity: Int,
+    trie: Boolean,
     val materialized: Boolean,
     val disk: DiskModel,
     private val rawFile: SimFile,
     private val indexFile: SimFile,
-    /** Prefix-split (trie) leaves allocate storage per leaf; median-split
-      * leaves pack into one extent (the paper's compactness advantage).
-      */
-    private val perLeafAlloc: Boolean,
 ) extends SeriesIndex {
-  private var leafDir: Array[Leaf] = CoconutTree.pack(store, cuts, leafCapacity)
-  private var leafKeys: Array[Long] = leafDir.map(_.key)
+  /** Leaf k holds store records `cuts(k) until cuts(k + 1)`. */
+  private var cuts: Array[Int] = CoconutTree.cutPoints(store, leafCapacity, trie)
+  private var leafKeys: Array[Long] = cuts.init.map(store.keys(_))
 
-  /** The leaf directory, in key order. */
-  def leaves: IndexedSeq[Leaf] = ArraySeq.unsafeWrapArray(leafDir)
+  def name: String = (if (trie) "CTrie" else "CTree") + (if (materialized) "Full" else "")
+  /** The leaves, in key order. */
+  def leaves: IndexedSeq[Leaf] =
+    (0 until leafCount).map(k => new Leaf(leafCapacity, cuts(k), cuts(k + 1) - cuts(k), store))
   def size: Int = data.length
-  def leafCount: Int = leafDir.length
-  def avgLeafFill: Double = SeriesIndex.meanFill(leaves.map(_.occupancy), leafCapacity)
-  /** Contiguously packed leaves: one extent of occupied bytes (per-leaf
-    * allocations for the prefix-split trie variant).
+  def leafCount: Int = cuts.length - 1
+  private def occupancies: IndexedSeq[Int] = (0 until leafCount).map(k => cuts(k + 1) - cuts(k))
+  def avgLeafFill: Double = SeriesIndex.meanFill(occupancies, leafCapacity)
+  /** Tree leaves pack into one extent of occupied bytes; trie leaves
+    * allocate their storage per leaf.
     */
   def storagePages: Long =
-    if (perLeafAlloc)
-      SeriesIndex.leafPages(leaves.map(_.occupancy), indexFile.recordBytes)
-    else
-      SeriesIndex.pages(store.size.toLong * indexFile.recordBytes)
+    if (trie) SeriesIndex.leafPages(occupancies, indexFile.recordBytes)
+    else SeriesIndex.pages(store.size.toLong * indexFile.recordBytes)
 
   /** Approximate search (Algorithm 4): read the leaf where the query's
     * invSAX would reside plus `radius` neighboring leaves on each side —
@@ -92,9 +93,8 @@ final class CoconutTree private[core] (
     val best = new Nearest(q, data, params.n)
     val qPaa = Series.paa(q, params.w)
     val window = SeriesIndex.leafWindow(leafKeys, InvSAX.toLong(SAX.fromPaa(qPaa, params), params), radius)
-    val from = leafDir(window.start).start
-    val last = leafDir(window.end)
-    val until = last.start + last.occupancy
+    val from = cuts(window.start)
+    val until = cuts(window.end + 1)
     indexFile.readRange(from.toLong, (until - from).toLong)
     if (materialized) {
       var i = from
@@ -130,8 +130,11 @@ final class CoconutTree private[core] (
     * paper's §5.3 updates experiment: each arriving batch is bulk-loaded,
     * merging the sorted batch into the sorted index with one sequential
     * read + write of the whole index). Cheap per series for large batches,
-    * expensive for highly fragmented ones — the Fig. 10a trade-off. Leaves
-    * are packed full again, contiguous from position 0.
+    * expensive for highly fragmented ones — the Fig. 10a trade-off. The
+    * merged run is cut again with the variant's own rule, contiguous from
+    * position 0, so a merged trie has the leaves of a trie bulk-loaded over
+    * the same series. Both variants are charged the same merge; the trie's
+    * compaction passes (charged at bulk load) are not repeated.
     */
   def bulkInsertMerge(batch: Array[Array[Double]]): Unit = {
     if (batch.isEmpty) return
@@ -143,57 +146,58 @@ final class CoconutTree private[core] (
     indexFile.appendRange((base + batch.length).toLong)                        // write the merged index
     data = data ++ batch
     store = Summaries.merge(store, CoconutTree.sortedRun(data, base, params))
-    leafDir = CoconutTree.pack(store, CoconutTree.fixedCuts(store.size, leafCapacity), leafCapacity)
-    leafKeys = leafDir.map(_.key)
+    cuts = CoconutTree.cutPoints(store, leafCapacity, trie)
+    leafKeys = cuts.init.map(store.keys(_))
   }
 }
 
 object CoconutTree {
 
-  /** Bottom-up bulk load (Algorithm 3): the shared build with every leaf
-    * but the last packed full, to `leafCapacity` records. When the external
-    * sort already wrote the final sorted run in one piece, that write *is*
-    * the leaf write.
+  /** Bottom-up bulk load of a Coconut-Tree ("CTree", or "CTreeFull" when
+    * materialized): every leaf but the last packed full, to `leafCapacity`
+    * records.
     *
     * @param memBytes  simulated main-memory budget (drives external sort)
     */
   def bulkLoad(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
                memBytes: Long, disk: DiskModel, materialized: Boolean): CoconutTree =
-    build("CTree", data, p, leafCapacity, memBytes, disk, materialized) { (run, _, indexFile, runs) =>
-      if (runs == 1) indexFile.appendRange(run.size.toLong)
-      fixedCuts(run.size, leafCapacity)
-    }
+    build(data, p, leafCapacity, memBytes, disk, materialized, trie = false)
 
   /** The build Coconut-Tree and Coconut-Trie share (Algorithms 2–3, lines
     * 2–13): summarize with one sequential pass over the raw file,
     * external-sort the summaries by invSAX under the memory budget
     * (materialized builds carry the raw series through the sort, which is
-    * what Fig. 8a/8d charge for), then pack the sorted run into contiguous
-    * leaves at the cut points `layout` returns. `layout` gets the run, the
-    * raw and index files and the number of sort runs, and charges the
-    * variant's own leaf writes.
-    *
-    * @param kind "CTree" or "CTrie"; names the index and its files
+    * what Fig. 8a/8d charge for), then cut the sorted run into contiguous
+    * leaves with [[cutPoints]]. The leaf write is the variant's own: a
+    * tree writes its leaves once, unless the external sort's merge pass
+    * already wrote the sorted run, which then is the leaf write; a trie
+    * pays for its build and compaction ([[CoconutTrie.chargeBuild]]).
     */
-  private[core] def build(kind: String, data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
-                          memBytes: Long, disk: DiskModel, materialized: Boolean)
-                         (layout: (Summaries, SimFile, SimFile, Int) => collection.IndexedSeq[Int])
-      : CoconutTree = {
+  private[core] def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int, memBytes: Long,
+                          disk: DiskModel, materialized: Boolean, trie: Boolean): CoconutTree = {
     SeriesIndex.checkData(data, p.n)
-    require(leafCapacity >= 1, s"leaf capacity must be at least 1, got $leafCapacity")
+    SeriesIndex.checkSizes(leafCapacity, memBytes)
     val n = data.length.toLong
     val rawBytes = p.n * 8
     val recBytes = p.wordBytes + 8 + (if (materialized) rawBytes else 0) // invSAX + offset (+ series)
-    val files = kind.toLowerCase + (if (materialized) "-full" else "")
+    val files = (if (trie) "ctrie" else "ctree") + (if (materialized) "-full" else "")
     val rawFile = disk.file("raw", rawBytes)
     val indexFile = disk.file(s"$files-index", recBytes)
     rawFile.scan(n)
     val runs = ExternalSort.charge(disk.file(s"$files-sort", recBytes), n, memBytes)
-    val run = sortedRun(data, 0, p)
-    val cuts = layout(run, rawFile, indexFile, runs)
-    new CoconutTree(kind + (if (materialized) "Full" else ""), p, data, run, cuts, leafCapacity,
-                    materialized, disk, rawFile, indexFile, perLeafAlloc = kind == "CTrie")
+    if (trie) CoconutTrie.chargeBuild(n, leafCapacity, memBytes, materialized, rawFile, indexFile)
+    else if (runs == 1) indexFile.appendRange(n)
+    new CoconutTree(p, data, sortedRun(data, 0, p), leafCapacity, trie, materialized, disk, rawFile, indexFile)
   }
+
+  /** Where the key-sorted `store` is cut into leaves: leaf k holds records
+    * `cuts(k) until cuts(k + 1)`. A trie cuts at prefix boundaries
+    * ([[CoconutTrie.prefixCuts]]); a tree cuts consecutive groups of
+    * `capacity` records, so only its last leaf may be partly filled.
+    */
+  private[core] def cutPoints(store: Summaries, capacity: Int, trie: Boolean): Array[Int] =
+    if (trie) CoconutTrie.prefixCuts(store.keys, store.p.totalBits, capacity)
+    else Array.tabulate(((store.size + capacity.toLong - 1) / capacity).toInt)(_ * capacity) :+ store.size
 
   /** The invSAX-sorted summaries of `data(from until data.length)`, stably
     * sorted, so equal keys keep raw-file order. Each series' SAX word gives
@@ -219,13 +223,4 @@ object CoconutTree {
     while (i < m) { System.arraycopy(rawSyms, (ids(i) - from) * w, syms, i * w, w); i += 1 }
     new Summaries(p, keys, ids, syms)
   }
-
-  /** Cut points of consecutive groups of `size` entries. */
-  private def fixedCuts(n: Int, size: Int): IndexedSeq[Int] = (0 until n by size) :+ n
-
-  /** Leaf k holds records `cuts(k) until cuts(k + 1)` of the store: the
-    * leaves are contiguous and in store order.
-    */
-  private def pack(store: Summaries, cuts: collection.IndexedSeq[Int], capacity: Int): Array[Leaf] =
-    Array.tabulate(cuts.length - 1)(k => new Leaf(capacity, cuts(k), cuts(k + 1) - cuts(k), store))
 }

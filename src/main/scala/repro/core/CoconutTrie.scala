@@ -2,7 +2,6 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import repro.index.Summaries
 import repro.series.SaxParams
 import repro.storage.{DiskModel, SimFile}
 
@@ -14,18 +13,16 @@ import repro.storage.{DiskModel, SimFile}
   * exactly the partition obtained by recursively splitting the sorted run
   * on the next interleaved bit until every piece fits a leaf: every leaf
   * covers one maximal SAX-prefix range with ≤ capacity entries. We build
-  * that partition directly (CPU side) and charge the I/O of the paper's
-  * actual procedure: one initial node per distinct SAX word written out,
-  * then pairwise sibling merges (one random read + one random write each)
-  * until no more leaves merge. This is what makes Coconut-Trie
-  * construction markedly slower than Coconut-Tree (Fig. 8a/8b) even though
-  * both start from the same sorted run.
+  * that partition directly (CPU side, [[prefixCuts]]) and charge the I/O of
+  * the paper's actual procedure ([[chargeBuild]]). This is what makes
+  * Coconut-Trie construction markedly slower than Coconut-Tree (Fig. 8a/8b)
+  * even though both start from the same sorted run.
   *
-  * The resulting index shares the sorted-contiguous-leaf query engine of
-  * [[CoconutTree]] (approximate search + SIMS exact search); only leaf
-  * boundary placement and construction cost differ. Prefix splitting
-  * cannot balance occupancy, so leaves are sparsely filled — the paper's
-  * §4.3 motivation for Coconut-Tree.
+  * The resulting index is a [[CoconutTree]] with `trie` set: it shares the
+  * sorted-contiguous-leaf query engine (approximate search + SIMS exact
+  * search); only leaf boundary placement and construction cost differ.
+  * Prefix splitting cannot balance occupancy, so leaves are sparsely
+  * filled — the paper's §4.3 motivation for Coconut-Tree.
   */
 object CoconutTrie {
 
@@ -35,53 +32,53 @@ object CoconutTrie {
     */
   def bulkLoad(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
                memBytes: Long, disk: DiskModel, materialized: Boolean): CoconutTree =
-    CoconutTree.build("CTrie", data, p, leafCapacity, memBytes, disk, materialized) {
-      (run, rawFile, indexFile, _) =>
-        prefixCuts(run, p, leafCapacity, memBytes, materialized, rawFile, indexFile)
-    }
+    CoconutTree.build(data, p, leafCapacity, memBytes, disk, materialized, trie = true)
 
-  /** Cut points of the compacted trie's leaves in the sorted run, with the
-    * I/O of building and compacting them charged to the files.
+  /** Cut points of the compacted trie's leaves over the ascending invSAX
+    * `keys` of `totalBits` bits: the run is split on the next interleaved
+    * bit until every piece holds at most `capacity` keys or every bit is
+    * used (equal keys stay in one, possibly overfull, leaf).
     */
-  private def prefixCuts(run: Summaries, p: SaxParams, leafCapacity: Int, memBytes: Long,
-                         materialized: Boolean, rawFile: SimFile, indexFile: SimFile): ArrayBuffer[Int] = {
-    val n = run.size
-
-    // Prefix-split the sorted run on interleaved bits (≡ compacted trie).
+  private[core] def prefixCuts(keys: Array[Long], totalBits: Int, capacity: Int): Array[Int] = {
     val cuts = ArrayBuffer(0)
     def firstWithBitSet(lo: Int, hi: Int, bit: Int): Int = {
-      // entries sorted by inv ⇒ bit value is monotone within a shared prefix
+      // keys sorted ⇒ bit value is monotone within a shared prefix
       var a = lo; var b = hi
       while (a < b) {
         val mid = (a + b) >>> 1
-        val raw = run.keys(mid) ^ Long.MinValue
+        val raw = keys(mid) ^ Long.MinValue
         if (((raw >>> (63 - bit)) & 1L) == 0L) a = mid + 1 else b = mid
       }
       a
     }
     def split(lo: Int, hi: Int, bit: Int): Unit = {
-      if (hi - lo <= leafCapacity || bit >= p.totalBits) cuts += hi
+      if (hi - lo <= capacity || bit >= totalBits) cuts += hi
       else {
         val mid = firstWithBitSet(lo, hi, bit)
         if (mid == lo || mid == hi) split(lo, hi, bit + 1)
         else { split(lo, mid, bit + 1); split(mid, hi, bit + 1) }
       }
     }
-    split(0, n, 0)
+    split(0, keys.length, 0)
+    cuts.toArray
+  }
 
-    // Charge the bottom-up build + CompactSubtree: the fine-grained
-    // one-node-per-distinct-word leaves are written once, then the
-    // iterative sibling-merge compaction re-reads and re-writes the
-    // (contiguous) leaf level until no more leaves merge — one pass per
-    // doubling of leaf occupancy, i.e. ~log2(capacity) sequential passes.
-    // This is the extra construction work Fig. 8a/8b charge Coconut-Trie
-    // for relative to Coconut-Tree.
-    indexFile.appendRange(n.toLong)
+  /** Charge the bottom-up build + CompactSubtree of a trie over `n`
+    * records: the fine-grained one-node-per-distinct-word leaves are
+    * written once, then the iterative sibling-merge compaction re-reads and
+    * re-writes the (contiguous) leaf level until no more leaves merge — one
+    * pass per doubling of leaf occupancy, i.e. ~log2(capacity) sequential
+    * passes. This is the extra construction work Fig. 8a/8b charge
+    * Coconut-Trie for relative to Coconut-Tree.
+    */
+  private[core] def chargeBuild(n: Long, leafCapacity: Int, memBytes: Long, materialized: Boolean,
+                                rawFile: SimFile, indexFile: SimFile): Unit = {
+    indexFile.appendRange(n)
     val compactionRounds = math.max(1, (math.log(leafCapacity) / math.log(2)).ceil.toInt)
     var round = 0
     while (round < compactionRounds) {
-      indexFile.resetCursor(); indexFile.scan(n.toLong)
-      indexFile.appendRange(n.toLong)
+      indexFile.resetCursor(); indexFile.scan(n)
+      indexFile.appendRange(n)
       round += 1
     }
     // CTrieFull additionally moves each raw series from the (unsorted) raw
@@ -89,14 +86,13 @@ object CoconutTrie {
     // is a cache miss per series (the paper's "extensive I/Os ... on the
     // last pass"), otherwise one sequential pass.
     if (materialized) {
-      val rawTotal = n.toLong * rawFile.recordBytes
-      if (rawTotal <= memBytes) { rawFile.resetCursor(); rawFile.scan(n.toLong) }
+      val rawTotal = n * rawFile.recordBytes
+      if (rawTotal <= memBytes) { rawFile.resetCursor(); rawFile.scan(n) }
       else {
         val missRate = 1.0 - memBytes.toDouble / rawTotal
         rawFile.chargeRandom(math.round(n * missRate), write = false)
       }
-      indexFile.appendRange(n.toLong)
+      indexFile.appendRange(n)
     }
-    cuts
   }
 }

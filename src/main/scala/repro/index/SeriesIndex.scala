@@ -81,6 +81,15 @@ object SeriesIndex {
     }
   }
 
+  /** Every build's check of its sizes, before any charge: a leaf holds at
+    * least one record, and the memory budget is at least one byte. DSTree,
+    * which has no memory budget, checks only its capacity.
+    */
+  def checkSizes(leafCapacity: Int, memBytes: Long = 1L): Unit = {
+    require(leafCapacity >= 1, s"leaf capacity must be at least 1, got $leafCapacity")
+    require(memBytes >= 1, s"memory budget must be at least 1 byte, got $memBytes")
+  }
+
   /** Mean leaf fill factor of leaves holding `occupancies` records of
     * `capacity` each, summed in leaf order; 0 for no leaves.
     */

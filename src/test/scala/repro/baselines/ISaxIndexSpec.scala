@@ -112,6 +112,17 @@ class ISaxIndexSpec extends AnyFunSuite {
     a.insertSlice(0, 100)
     intercept[IllegalArgumentException](a.insertSlice(300, 400))
   }
+  test("insertSlice rejects a backwards range and one past the data before any charge or change") {
+    val a = ISaxIndex.empty(data.take(100), p, 50, 1L << 30, new DiskModel(), materialized = false)
+    def state = (a.size, a.collectLeaves.map(_.ids.toList), a.disk.snapshot)
+    for ((inserted, from, until) <- Seq((0, 0, 101), (50, 50, 40), (50, 50, 101))) {
+      if (a.size < inserted) a.insertSlice(a.size, inserted)
+      val before = state
+      val e = intercept[IllegalArgumentException](a.insertSlice(from, until))
+      assert(e.getMessage.contains(s"got [$from, $until)"))
+      assert(state == before)
+    }
+  }
   test("approx search on an empty index is rejected") {
     val a = ISaxIndex.empty(data, p, 50, 1L << 30, new DiskModel(), materialized = false)
     intercept[IllegalArgumentException](a.approxSearch(queries(0)))

@@ -92,6 +92,16 @@ class CoconutTrieSpec extends AnyFunSuite {
     assert(tight.randomOps > ample.randomOps + 500,
       "the unsorted-raw-to-sorted-leaves pass must become random under tight memory")
   }
+  test("a merged trie equals a trie bulk-loaded over the same series") {
+    val extra = SeriesGen.dataset("walk", 500, 64, seed = 12)
+    for (mat <- Seq(false, true)) {
+      val merged = build(mat)
+      merged.bulkInsertMerge(extra)
+      val loaded = CoconutTrie.bulkLoad(data ++ extra, p, 50, 1L << 30, new DiskModel(), materialized = mat)
+      def layout(t: CoconutTree) = (t.name, t.storagePages, t.leaves.map(l => (l.start, l.occupancy)))
+      assert(layout(merged) == layout(loaded), s"materialized = $mat")
+    }
+  }
   test("trie uses more storage than tree for the same data") {
     val trie = build(mat = false, cap = 50)
     val tree = CoconutTree.bulkLoad(data, p, 50, 1L << 30, new DiskModel(), materialized = false)

@@ -54,6 +54,20 @@ class AgreementSpec extends AnyFunSuite {
     }
   }
 
+  test("every system rejects a leaf capacity or a memory budget below 1") {
+    val p = SaxParams(n = 64, w = 8, bits = 6)
+    val data = SeriesGen.dataset("walk", 300, 64, seed = 72)
+    val budgeted = Seq("CTreeFull", "CTree", "CTrieFull", "CTrie", "ADSFull", "ADS+", "R-tree", "R-tree+")
+    for (system <- budgeted :+ "DSTree"; cap <- Seq(0, -1)) {
+      val e = intercept[IllegalArgumentException](Experiments.build(system, data, p, cap, 1L << 30))
+      assert(e.getMessage.contains(s"leaf capacity must be at least 1, got $cap"), system)
+    }
+    for (system <- budgeted; mem <- Seq(0L, -5L)) {
+      val e = intercept[IllegalArgumentException](Experiments.build(system, data, p, 30, mem))
+      assert(e.getMessage.contains(s"memory budget must be at least 1 byte, got $mem"), system)
+    }
+  }
+
   for (kind <- Seq("walk", "seismic", "astronomy")) {
     test(s"all ten indexes agree with brute force on the $kind dataset") {
       val p = SaxParams(n = 64, w = 8, bits = 6)
