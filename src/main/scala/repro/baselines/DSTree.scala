@@ -141,6 +141,7 @@ object DSTree {
             disk: DiskModel): DSTree = {
     SeriesIndex.checkData(data, p.n)
     SeriesIndex.checkSizes(leafCapacity)
+    SeriesIndex.checkFinite(data)
     val rawBytes = p.n * 8
     val rawFile = disk.file("raw", rawBytes)
     val indexFile = disk.file("dstree-index", rawBytes + 8)

@@ -83,17 +83,20 @@ final class ISaxIndex private[baselines] (
 
   /** Insert `data(from until until)` top-down through the FBL buffer,
     * charging the summarize pass (+ the raw re-read for materialized
-    * builds) and the buffered leaf read/write traffic.
+    * builds) and the buffered leaf read/write traffic. The slice is
+    * summarized into the store first, so a series holding a NaN or an
+    * infinity is rejected before any charge or routing.
     */
   def insertSlice(from: Int, until: Int): Unit = {
     require(from == size && from <= until && until <= data.length,
       s"an insert must be a range [from, until) with from = $size (the series inserted so far) and " +
       s"from ≤ until ≤ ${data.length}; got [$from, $until)")
+    var i = from
+    while (i < until) { SeriesIndex.summarize(data, i, params, store.syms, i * params.w); i += 1 }
     rawFile.readRange(from.toLong, (until - from).toLong) // summarize pass
     if (materialized) { rawFile.resetCursor(); rawFile.readRange(from.toLong, (until - from).toLong) }
-    var i = from
+    i = from
     while (i < until) {
-      store.setSymbols(i, SAX.sax(data(i), params))
       pending += i
       if (pending.length >= bufferCapacity) flush()
       i += 1

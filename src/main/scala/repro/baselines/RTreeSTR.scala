@@ -107,6 +107,7 @@ object RTreeSTR {
             memBytes: Long, disk: DiskModel, materialized: Boolean): RTreeSTR = {
     SeriesIndex.checkData(data, p.n)
     SeriesIndex.checkSizes(leafCapacity, memBytes)
+    SeriesIndex.checkFinite(data)
     val n = data.length
     val rawBytes = p.n * 8
     val paaBytes = p.w * 8 + 8

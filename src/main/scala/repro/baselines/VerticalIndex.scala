@@ -144,6 +144,7 @@ object VerticalIndex {
   /** Build the vertical layout: one pass over the raw file per level. */
   def build(data: Array[Array[Double]], p: SaxParams, disk: DiskModel): VerticalIndex = {
     SeriesIndex.checkData(data, p.n)
+    SeriesIndex.checkFinite(data)
     val n = data.length
     val len = p.n
     val rawFile = disk.file("raw", len * 8)

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.index.{Candidates, MinDist, Nearest, SearchResult, SeriesIndex, Summaries}
-import repro.series.{InvSAX, SAX, SaxParams, Series}
+import repro.series.{InvSAX, SaxParams, Series}
 import repro.storage.{DiskModel, ExternalSort, SimFile}
 import repro.util.StableSort
 
@@ -92,7 +92,7 @@ final class CoconutTree private[core] (
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
     val best = new Nearest(q, data, params.n)
     val qPaa = Series.paa(q, params.w)
-    val window = SeriesIndex.leafWindow(leafKeys, InvSAX.toLong(SAX.fromPaa(qPaa, params), params), radius)
+    val window = SeriesIndex.leafWindow(leafKeys, InvSAX.ofSeries(q, params), radius)
     val from = cuts(window.start)
     val until = cuts(window.end + 1)
     indexFile.readRange(from.toLong, (until - from).toLong)
@@ -134,18 +134,21 @@ final class CoconutTree private[core] (
     * merged run is cut again with the variant's own rule, contiguous from
     * position 0, so a merged trie has the leaves of a trie bulk-loaded over
     * the same series. Both variants are charged the same merge; the trie's
-    * compaction passes (charged at bulk load) are not repeated.
+    * compaction passes (charged at bulk load) are not repeated. The batch
+    * is summarized first, so one holding a NaN or an infinity is rejected
+    * before any charge or change.
     */
   def bulkInsertMerge(batch: Array[Array[Double]]): Unit = {
     if (batch.isEmpty) return
     SeriesIndex.checkData(batch, params.n)
     val base = data.length
+    val run = CoconutTree.sortedRun(batch, base, params)
     rawFile.appendRange(batch.length.toLong)                                   // batch lands in the raw file
     rawFile.resetCursor(); rawFile.readRange(base.toLong, batch.length.toLong) // summarize pass
     indexFile.resetCursor(); indexFile.readRange(0, base.toLong)               // read the sorted index
     indexFile.appendRange((base + batch.length).toLong)                        // write the merged index
     data = data ++ batch
-    store = Summaries.merge(store, CoconutTree.sortedRun(data, base, params))
+    store = Summaries.merge(store, run)
     cuts = CoconutTree.cutPoints(store, leafCapacity, trie)
     leafKeys = cuts.init.map(store.keys(_))
   }
@@ -177,6 +180,7 @@ object CoconutTree {
                           disk: DiskModel, materialized: Boolean, trie: Boolean): CoconutTree = {
     SeriesIndex.checkData(data, p.n)
     SeriesIndex.checkSizes(leafCapacity, memBytes)
+    val run = sortedRun(data, 0, p)
     val n = data.length.toLong
     val rawBytes = p.n * 8
     val recBytes = p.wordBytes + 8 + (if (materialized) rawBytes else 0) // invSAX + offset (+ series)
@@ -187,7 +191,7 @@ object CoconutTree {
     val runs = ExternalSort.charge(disk.file(s"$files-sort", recBytes), n, memBytes)
     if (trie) CoconutTrie.chargeBuild(n, leafCapacity, memBytes, materialized, rawFile, indexFile)
     else if (runs == 1) indexFile.appendRange(n)
-    new CoconutTree(p, data, sortedRun(data, 0, p), leafCapacity, trie, materialized, disk, rawFile, indexFile)
+    new CoconutTree(p, data, run, leafCapacity, trie, materialized, disk, rawFile, indexFile)
   }
 
   /** Where the key-sorted `store` is cut into leaves: leaf k holds records
@@ -199,28 +203,23 @@ object CoconutTree {
     if (trie) CoconutTrie.prefixCuts(store.keys, store.p.totalBits, capacity)
     else Array.tabulate(((store.size + capacity.toLong - 1) / capacity).toInt)(_ * capacity) :+ store.size
 
-  /** The invSAX-sorted summaries of `data(from until data.length)`, stably
-    * sorted, so equal keys keep raw-file order. Each series' SAX word gives
-    * both its key and its stored symbols.
+  /** The invSAX-sorted summaries of `series`, whose raw-file ids start at
+    * `firstId`, stably sorted, so equal keys keep raw-file order. One
+    * [[SeriesIndex.summarize]] per series gives its key and its stored
+    * symbols, and rejects a series holding a NaN or an infinity.
     */
-  private def sortedRun(data: Array[Array[Double]], from: Int, p: SaxParams): Summaries = {
-    val m = data.length - from
+  private def sortedRun(series: Array[Array[Double]], firstId: Int, p: SaxParams): Summaries = {
+    val m = series.length
     val w = p.w
     val rawSyms = new Array[Byte](m * w)
     val keys = new Array[Long](m)
-    val ids = Array.range(from, data.length)
+    val ids = Array.range(firstId, firstId + m)
     var i = 0
-    while (i < m) {
-      val word = SAX.sax(data(from + i), p)
-      var j = 0
-      while (j < w) { rawSyms(i * w + j) = word(j).toByte; j += 1 }
-      keys(i) = InvSAX.toLong(word, p)
-      i += 1
-    }
+    while (i < m) { keys(i) = SeriesIndex.summarize(series, i, p, rawSyms, i * w); i += 1 }
     StableSort.byKey(keys, ids)
     val syms = new Array[Byte](m * w)
     i = 0
-    while (i < m) { System.arraycopy(rawSyms, (ids(i) - from) * w, syms, i * w, w); i += 1 }
+    while (i < m) { System.arraycopy(rawSyms, (ids(i) - firstId) * w, syms, i * w, w); i += 1 }
     new Summaries(p, keys, ids, syms)
   }
 }

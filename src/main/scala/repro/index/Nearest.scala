@@ -93,7 +93,9 @@ final class Candidates {
   def sortByLb(): Unit = sortBy(k => java.lang.Double.doubleToRawLongBits(lb(k)))
 
   private def sortBy(key: Int => Long): Unit = {
-    val keys = Array.tabulate(size)(key)
+    val keys = new Array[Long](size)
+    var k = 0
+    while (k < size) { keys(k) = key(k); k += 1 }
     val order = Array.range(0, size)
     StableSort.byKey(keys, order)
     permute(order)

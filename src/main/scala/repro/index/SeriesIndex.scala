@@ -1,6 +1,6 @@
 package repro.index
 
-import repro.series.SaxParams
+import repro.series.{InvSAX, SaxParams, Series}
 import repro.storage.DiskModel
 
 /** Result of a similarity-search call.
@@ -68,8 +68,10 @@ object SeriesIndex {
 
   /** Every build's and batch insert's entry check: at least one series,
     * and each of the index's length `n`. Values are not checked for NaN or
-    * infinity here: that needs a pass over every value, about ten times the
-    * cost of this one.
+    * infinity here, since a pass over every value costs about ten times
+    * this one: the summarizing indexes reject them while summarizing
+    * ([[summarize]]), before any charge or change, and the others call
+    * [[checkFinite]].
     */
   def checkData(data: Array[Array[Double]], n: Int): Unit = {
     require(data.nonEmpty, "cannot index an empty dataset")
@@ -80,6 +82,28 @@ object SeriesIndex {
       i += 1
     }
   }
+
+  /** Summarize series `i` of `data` with [[InvSAX.summarize]], naming the
+    * series if it holds a NaN or infinite value.
+    */
+  def summarize(data: Array[Array[Double]], i: Int, p: SaxParams, syms: Array[Byte], off: Int): Long =
+    try InvSAX.summarize(data(i), p, syms, off)
+    catch { case e: IllegalArgumentException => throw naming(i, e) }
+
+  /** The finiteness check of the indexes that do not summarize with
+    * [[summarize]]: every value of every series is finite.
+    */
+  def checkFinite(data: Array[Array[Double]]): Unit = {
+    var i = 0
+    while (i < data.length) {
+      try Series.requireFinite(data(i))
+      catch { case e: IllegalArgumentException => throw naming(i, e) }
+      i += 1
+    }
+  }
+
+  private def naming(i: Int, e: IllegalArgumentException) =
+    new IllegalArgumentException(s"series $i: ${e.getMessage}", e)
 
   /** Every build's check of its sizes, before any charge: a leaf holds at
     * least one record, and the memory budget is at least one byte. DSTree,

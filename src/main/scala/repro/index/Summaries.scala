@@ -12,8 +12,8 @@ import repro.series.{SAX, SaxParams}
   *    each, so the `w` symbols of a record lie next to each other.
   *
   * No per-record objects: 20 bytes per record at w = 8 with keys. Symbols
-  * come straight from the SAX words computed when a series is summarized,
-  * never from decoding a key.
+  * are written by `InvSAX.summarize` while it computes a series' key,
+  * never decoded from a key.
   */
 final class Summaries(val p: SaxParams, val keys: Array[Long], val ids: Array[Int], val syms: Array[Byte]) {
   require(syms.length == ids.length * p.w && (keys.isEmpty || keys.length == ids.length),

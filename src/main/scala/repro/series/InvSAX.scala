@@ -56,9 +56,58 @@ object InvSAX {
     out
   }
 
-  /** invSAX of a z-normalized series — the one-call path used by the Spark
-    * dataflow.
+  /** Cells of [[SaxParams.symbolGrid]], over [−4, 4). */
+  private[series] val GridCells = 1024
+  /** Cells per unit value: 1,024 cells over a width of 8. */
+  private[series] val GridScale = 128.0
+
+  /** Summarize one series in one pass (Algorithm 1 fused with PAA and
+    * SAX): write its `w` SAX symbols to `syms(off until off + w)` and
+    * return its invSAX key, both equal to `SAX.sax` and [[toLong]] of it.
+    *
+    * Each segment is summed as `Series.paa` sums it. Its symbol starts from
+    * the grid cell of the segment mean and steps up past every breakpoint
+    * ≤ the mean and down past every breakpoint > it, which leaves the
+    * number of breakpoints ≤ the mean, as `SAX.symbol` counts them; a
+    * mean outside the grid goes to `SAX.symbol` itself. Nothing is
+    * allocated.
+    *
+    * A series holding a NaN or infinite value is rejected: a segment sum
+    * that is not finite sends the series to `Series.requireFinite`, which
+    * checks it value by value. Finite values whose sum overflows are
+    * summarized as `SAX.sax` summarizes them.
+    */
+  def summarize(series: Array[Double], p: SaxParams, syms: Array[Byte], off: Int): Long = {
+    if (series.length != p.n)
+      throw new IllegalArgumentException(s"expected a series of ${p.n} values, got ${series.length}")
+    val w = p.w; val bits = p.bits; val seg = p.n / w
+    val bp = p.breakpoints; val top = bp.length
+    val grid = p.symbolGrid; val spread = p.spread
+    var key = 0L
+    var i = 0; var j = 0
+    while (j < w) {
+      var acc = 0.0
+      val end = i + seg
+      while (i < end) { acc += series(i); i += 1 }
+      if (!java.lang.Double.isFinite(acc)) Series.requireFinite(series)
+      val v = acc / seg
+      val sym =
+        if (v >= -4.0 && v < 4.0) {
+          var s = grid(math.min(((v + 4.0) * GridScale).toInt, GridCells - 1))
+          while (s < top && bp(s) <= v) s += 1
+          while (s > 0 && bp(s - 1) > v) s -= 1
+          s
+        } else SAX.symbol(v, bp)
+      syms(off + j) = sym.toByte
+      key |= spread((j << bits) | sym)
+      j += 1
+    }
+    key ^ Long.MinValue
+  }
+
+  /** invSAX of a z-normalized series, its symbols dropped — the one-call
+    * path of a Coconut-Tree query key and of the Spark dataflow.
     */
   def ofSeries(series: Array[Double], p: SaxParams): Long =
-    toLong(SAX.sax(series, p), p)
+    summarize(series, p, new Array[Byte](p.w), 0)
 }

@@ -26,6 +26,25 @@ final case class SaxParams(n: Int, w: Int, bits: Int) {
   val wordBytes: Int = (totalBits + 7) / 8
   /** Region boundaries, shared by all segments. */
   val breakpoints: Array[Double] = Gaussian.breakpoints(card)
+
+  /** [[InvSAX.summarize]]'s starting symbols: cell `c` of the grid of
+    * equal cells over [−4, 4) holds the symbol of its lower edge,
+    * `c / InvSAX.GridScale − 4`. Built once, on the first summarize, like
+    * [[spread]].
+    */
+  private[series] lazy val symbolGrid: Array[Int] =
+    Array.tabulate(InvSAX.GridCells)(c => SAX.symbol(c / InvSAX.GridScale - 4.0, breakpoints))
+
+  /** [[InvSAX.summarize]]'s key bits: entry `(j << bits) | sym` is symbol
+    * `sym` on segment `j` spread to its invSAX key bits (before the sign
+    * flip), so a key is the OR of one entry per segment.
+    */
+  private[series] lazy val spread: Array[Long] = {
+    val t = new Array[Long](w << bits)
+    for (j <- 0 until w; sym <- 0 until card; i <- 0 until bits)
+      t((j << bits) | sym) |= ((sym >>> (bits - 1 - i)) & 1L) << (63 - (i * w + j))
+    t
+  }
 }
 
 object SAX {

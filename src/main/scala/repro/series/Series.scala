@@ -27,6 +27,18 @@ object Series {
     }
   }
 
+  /** Reject a series holding a NaN or an infinity, naming the first such
+    * value.
+    */
+  def requireFinite(s: Array[Double]): Unit = {
+    var i = 0
+    while (i < s.length) {
+      if (!java.lang.Double.isFinite(s(i)))
+        throw new IllegalArgumentException(s"value $i is ${s(i)}; indexed values must be finite")
+      i += 1
+    }
+  }
+
   /** Euclidean distance between two equal-length series. */
   def euclidean(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, s"length mismatch: ${a.length} vs ${b.length}")

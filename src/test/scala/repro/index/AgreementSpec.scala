@@ -54,6 +54,40 @@ class AgreementSpec extends AnyFunSuite {
     }
   }
 
+  test("all ten systems reject a dataset holding a NaN or an infinite value") {
+    val p = SaxParams(n = 64, w = 8, bits = 6)
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity);
+         system <- Seq("CTreeFull", "CTree", "CTrieFull", "CTrie", "ADSFull", "ADS+",
+                       "R-tree", "R-tree+", "DSTree", "Vertical")) {
+      val data = SeriesGen.dataset("walk", 200, 64, seed = 73)
+      data(57)(13) = bad
+      val e = intercept[IllegalArgumentException](Experiments.build(system, data, p, 30, 1L << 30))
+      assert(e.getMessage.contains(s"series 57: value 13 is $bad; indexed values must be finite"), system)
+    }
+  }
+
+  test("a batch holding a NaN or an infinite value is rejected before any charge or change") {
+    val p = SaxParams(n = 64, w = 8, bits = 6)
+    val data = SeriesGen.dataset("walk", 300, 64, seed = 74)
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity); mat <- Seq(true, false)) {
+      val t = CoconutTree.bulkLoad(data, p, 30, 1L << 30, new DiskModel(), mat)
+      val before = (t.size, t.leaves.map(l => (l.start, l.occupancy, l.key)), t.disk.snapshot)
+      val batch = SeriesGen.dataset("walk", 40, 64, seed = 75)
+      batch(22)(60) = bad
+      val e = intercept[IllegalArgumentException](t.bulkInsertMerge(batch))
+      assert(e.getMessage.contains(s"series 22: value 60 is $bad; indexed values must be finite"), t.name)
+      assert((t.size, t.leaves.map(l => (l.start, l.occupancy, l.key)), t.disk.snapshot) == before, t.name)
+      // An ADS slice: rejected before its reads are charged and before routing.
+      val grown = data ++ batch
+      val a = ISaxIndex.empty(grown, p, 30, 1L << 30, new DiskModel(), mat)
+      a.insertSlice(0, data.length)
+      val adsBefore = (a.size, a.leafCount, a.disk.snapshot)
+      val ae = intercept[IllegalArgumentException](a.insertSlice(data.length, grown.length))
+      assert(ae.getMessage.contains(s"series ${data.length + 22}: value 60 is $bad"), a.name)
+      assert((a.size, a.leafCount, a.disk.snapshot) == adsBefore, a.name)
+    }
+  }
+
   test("every system rejects a leaf capacity or a memory budget below 1") {
     val p = SaxParams(n = 64, w = 8, bits = 6)
     val data = SeriesGen.dataset("walk", 300, 64, seed = 72)

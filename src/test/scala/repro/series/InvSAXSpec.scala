@@ -145,4 +145,68 @@ class InvSAXSpec extends AnyFunSuite {
       assert(InvSAX.ofSeries(s, p) == InvSAX.toLong(SAX.sax(s, p), p))
     }
   }
+
+  // The fused kernel against its reference, SAX.sax and toLong, on one
+  // series: the same key and the same symbols.
+  private def checkSummarize(s: Array[Double], pp: SaxParams): Unit = {
+    val syms = Array.fill[Byte](pp.w + 2)(-1) // one guard byte each side
+    val key = InvSAX.summarize(s, pp, syms, 1)
+    val word = SAX.sax(s, pp)
+    assert(key == InvSAX.toLong(word, pp), s"key of ${s.mkString(",")} at $pp")
+    assert(syms.slice(1, pp.w + 1).map(_ & 0xff).sameElements(word), s"symbols of ${s.mkString(",")} at $pp")
+    assert(syms(0) == -1 && syms(pp.w + 1) == -1, "summarize wrote outside its w symbols")
+  }
+
+  /** Summarize `values` as segment means, `w` at a time, with one value
+    * per segment (n = w), so that each mean is the value itself.
+    */
+  private def checkMeans(values: Seq[Double], bits: Int): Unit = {
+    val pp = SaxParams(n = 8, w = 8, bits = bits)
+    values.grouped(pp.w).foreach(g => checkSummarize(g.padTo(pp.w, 0.0).toArray, pp))
+  }
+
+  test("summarize equals SAX.sax on every breakpoint and one ulp either side of it") {
+    for (bits <- 1 to 8) {
+      val bp = SaxParams(8, 8, bits).breakpoints.toSeq
+      checkMeans(bp.flatMap(b => Seq(b, Math.nextUp(b), Math.nextDown(b))), bits)
+    }
+  }
+
+  test("summarize equals SAX.sax on every grid-cell edge and one ulp either side of it") {
+    val edges = (0 to InvSAX.GridCells).map(c => c / InvSAX.GridScale - 4.0)
+    for (bits <- Seq(1, 3, 4, 8)) checkMeans(edges.flatMap(e => Seq(e, Math.nextUp(e), Math.nextDown(e))), bits)
+  }
+
+  test("summarize equals SAX.sax at the grid's ends, far outside it and at both zeros") {
+    val ends = Seq(4.0, -4.0, Math.nextDown(4.0), Math.nextUp(-4.0), Math.nextDown(-4.0), 1e300, -1e300, 0.0, -0.0)
+    for (bits <- 1 to 8) checkMeans(ends, bits)
+    // Finite values whose segment sum overflows summarize as SAX.sax does.
+    val pp = SaxParams(n = 16, w = 8, bits = 8)
+    checkSummarize(Array.tabulate(16)(i => if (i < 4) Double.MaxValue else if (i < 8) -Double.MaxValue else 0.5), pp)
+  }
+
+  test("summarize equals SAX.sax on random series") {
+    val r = new java.util.Random(29)
+    for (pp <- Seq(SaxParams(64, 8, 8), SaxParams(64, 16, 4), SaxParams(64, 4, 3), SaxParams(64, 64, 1),
+                   SaxParams(64, 1, 8)); i <- 0 until 300) {
+      val s = if (i % 3 == 0) SeriesGen.randomWalk(i, 64) else Array.fill(64)(r.nextGaussian() * (1 + i % 5))
+      checkSummarize(s, pp)
+    }
+  }
+
+  test("summarize rejects a NaN or an infinity, naming the value") {
+    val pp = SaxParams(64, 8, 8)
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val s = SeriesGen.randomWalk(5, 64)
+      s(37) = bad
+      val e = intercept[IllegalArgumentException](InvSAX.summarize(s, pp, new Array[Byte](pp.w), 0))
+      assert(e.getMessage == s"value 37 is $bad; indexed values must be finite")
+      intercept[IllegalArgumentException](InvSAX.ofSeries(s, pp))
+    }
+  }
+
+  test("summarize rejects a series of the wrong length") {
+    val e = intercept[IllegalArgumentException](InvSAX.summarize(new Array[Double](63), p64, new Array[Byte](8), 0))
+    assert(e.getMessage.contains("expected a series of 256 values, got 63"))
+  }
 }
