@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -47,7 +48,10 @@ object CoconutSpark {
 
   /** Bulk-load the index: z-order sort + range partition into `numLeaves`
     * leaves, written as a Parquet dataset partitioned by `leaf`. Returns
-    * the loaded [[Index]] with its driver-side leaf directory.
+    * the loaded [[Index]] with its driver-side leaf directory. A series
+    * holding a NaN or an infinity, or of a length other than `p.n`, fails
+    * the write job inside [[summarize]]; that failure is rethrown as an
+    * `IllegalArgumentException` with the summarize kernel's message.
     */
   def bulkLoad(df: DataFrame, p: SaxParams, numLeaves: Int, path: String): Index = {
     val spark = df.sparkSession
@@ -57,7 +61,13 @@ object CoconutSpark {
       .repartitionByRange(numLeaves, col("invsax"))
       .sortWithinPartitions(col("invsax"))
       .withColumn("leaf", spark_partition_id())
-    sorted.write.mode("overwrite").partitionBy("leaf").parquet(path)
+    try sorted.write.mode("overwrite").partitionBy("leaf").parquet(path)
+    catch {
+      case e: SparkException =>
+        throw Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+          .collectFirst { case bad: IllegalArgumentException => new IllegalArgumentException(bad.getMessage, e) }
+          .getOrElse(e)
+    }
     load(spark, path, p)
   }
 

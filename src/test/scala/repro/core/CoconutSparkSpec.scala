@@ -196,6 +196,20 @@ class CoconutSparkSpec extends SparkSpec {
     }
   }
 
+  test("bulk load rejects a NaN, infinite or wrong-length series with the summarize kernel's message") {
+    import spark.implicits._
+    val good = localData.take(20).map(_.toSeq)
+    for ((bad, msg) <- Seq(
+           (good(3).updated(5, Double.NaN), "value 5 is NaN; indexed values must be finite"),
+           (good(3).updated(0, Double.NegativeInfinity), "value 0 is -Infinity; indexed values must be finite"),
+           (good(3).take(16), "expected a series of 32 values, got 16"))) {
+      val rows = good.updated(7, bad).zipWithIndex.map { case (s, i) => (i.toLong, s) }.toSeq.toDF("id", "series")
+      val dir = Files.createTempDirectory("coconut-spark-bad").toString
+      val e = intercept[IllegalArgumentException](CoconutSpark.bulkLoad(rows, p, 2, dir))
+      assert(e.getMessage == msg)
+    }
+  }
+
   test("index reload from disk reproduces identical bounds") {
     val reloaded = CoconutSpark.load(spark, indexPath, p)
     assert(reloaded.bounds.map(b => (b.minInv, b.maxInv, b.count)).toSeq ==
