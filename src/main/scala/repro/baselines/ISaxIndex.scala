@@ -91,11 +91,10 @@ final class ISaxIndex private[baselines] (
     require(from == size && from <= until && until <= data.length,
       s"an insert must be a range [from, until) with from = $size (the series inserted so far) and " +
       s"from ≤ until ≤ ${data.length}; got [$from, $until)")
-    var i = from
-    while (i < until) { SeriesIndex.summarize(data, i, params, store.syms, i * params.w); i += 1 }
+    SeriesIndex.summarize(data, from, until, params, store.keys, store.syms)
     rawFile.readRange(from.toLong, (until - from).toLong) // summarize pass
     if (materialized) { rawFile.resetCursor(); rawFile.readRange(from.toLong, (until - from).toLong) }
-    i = from
+    var i = from
     while (i < until) {
       pending += i
       if (pending.length >= bufferCapacity) flush()

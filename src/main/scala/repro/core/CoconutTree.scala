@@ -3,7 +3,7 @@ package repro.core
 import repro.index.{Candidates, MinDist, Nearest, SearchResult, SeriesIndex, Summaries}
 import repro.series.{InvSAX, SaxParams, Series}
 import repro.storage.{DiskModel, ExternalSort, SimFile}
-import repro.util.StableSort
+import repro.util.{Pool, StableSort}
 
 /** One index record as [[Leaf.entries]] reads it from the summary store:
   * its invSAX key and its position in the raw file.
@@ -204,22 +204,25 @@ object CoconutTree {
     else Array.tabulate(((store.size + capacity.toLong - 1) / capacity).toInt)(_ * capacity) :+ store.size
 
   /** The invSAX-sorted summaries of `series`, whose raw-file ids start at
-    * `firstId`, stably sorted, so equal keys keep raw-file order. One
-    * [[SeriesIndex.summarize]] per series gives its key and its stored
-    * symbols, and rejects a series holding a NaN or an infinity.
+    * `firstId`, stably sorted, so equal keys keep raw-file order.
+    * [[SeriesIndex.summarize]] gives each series' key and stored symbols,
+    * and rejects a series holding a NaN or an infinity. Summarize, sort and
+    * symbol permute run on [[Pool]] for large inputs and on the caller for
+    * a batch; the run is the same either way.
     */
   private def sortedRun(series: Array[Array[Double]], firstId: Int, p: SaxParams): Summaries = {
     val m = series.length
     val w = p.w
     val rawSyms = new Array[Byte](m * w)
     val keys = new Array[Long](m)
+    SeriesIndex.summarize(series, 0, m, p, keys, rawSyms)
     val ids = Array.range(firstId, firstId + m)
-    var i = 0
-    while (i < m) { keys(i) = SeriesIndex.summarize(series, i, p, rawSyms, i * w); i += 1 }
     StableSort.byKey(keys, ids)
     val syms = new Array[Byte](m * w)
-    i = 0
-    while (i < m) { System.arraycopy(rawSyms, (ids(i) - firstId) * w, syms, i * w, w); i += 1 }
+    Pool.range(m) { (from, until) =>
+      var i = from
+      while (i < until) { System.arraycopy(rawSyms, (ids(i) - firstId) * w, syms, i * w, w); i += 1 }
+    }
     new Summaries(p, keys, ids, syms)
   }
 }

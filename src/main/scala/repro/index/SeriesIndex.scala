@@ -2,6 +2,7 @@ package repro.index
 
 import repro.series.{InvSAX, SaxParams, Series}
 import repro.storage.DiskModel
+import repro.util.Pool
 
 /** Result of a similarity-search call.
   *
@@ -83,12 +84,29 @@ object SeriesIndex {
     }
   }
 
-  /** Summarize series `i` of `data` with [[InvSAX.summarize]], naming the
-    * series if it holds a NaN or infinite value.
+  /** Summarize series `from until until` of `data` with
+    * [[InvSAX.summarize]]: series i's symbols go to `syms` from `i * p.w`,
+    * and its key to `keys(i)` unless `keys` is empty (a store without sort
+    * keys, like ADS's). The range runs in chunks on [[Pool]]. A series
+    * holding a NaN or an infinite value is rejected with an
+    * `IllegalArgumentException` that names it; if several do, the
+    * lowest-indexed one is named, as a loop in series order would.
     */
-  def summarize(data: Array[Array[Double]], i: Int, p: SaxParams, syms: Array[Byte], off: Int): Long =
-    try InvSAX.summarize(data(i), p, syms, off)
-    catch { case e: IllegalArgumentException => throw naming(i, e) }
+  def summarize(data: Array[Array[Double]], from: Int, until: Int, p: SaxParams,
+                keys: Array[Long], syms: Array[Byte]): Unit =
+    summarize(data, from, until, p, keys, syms, Pool.MinChunk)
+
+  private[repro] def summarize(data: Array[Array[Double]], from: Int, until: Int, p: SaxParams,
+                               keys: Array[Long], syms: Array[Byte], chunk: Int): Unit =
+    Pool.chunked(until - from, chunk) { (lo, hi) =>
+      var i = from + lo
+      while (i < from + hi) {
+        val key = try InvSAX.summarize(data(i), p, syms, i * p.w)
+                  catch { case e: IllegalArgumentException => throw naming(i, e) }
+        if (keys.length != 0) keys(i) = key
+        i += 1
+      }
+    }
 
   /** The finiteness check of the indexes that do not summarize with
     * [[summarize]]: every value of every series is finite.

@@ -1,6 +1,7 @@
 package repro.series
 
 import java.util.Random
+import repro.util.Pool
 
 /** Deterministic data-series generators (local, driver-side).
   *
@@ -80,12 +81,21 @@ object SeriesGen {
     case other       => throw new IllegalArgumentException(s"unknown dataset kind: $other")
   }
 
-  /** A dataset of `n` series, generated eagerly; series i depends only on
-    * (kind, i, len, seed).
+  /** A dataset of `n` series, generated eagerly in chunks on [[Pool]];
+    * series i depends only on (kind, i, len, seed), so the dataset is the
+    * same on any number of cores.
     */
-  def dataset(kind: String, n: Int, len: Int, seed: Long): Array[Array[Double]] = {
+  def dataset(kind: String, n: Int, len: Int, seed: Long): Array[Array[Double]] =
+    dataset(kind, n, len, seed, Pool.MinChunk)
+
+  private[repro] def dataset(kind: String, n: Int, len: Int, seed: Long, chunk: Int): Array[Array[Double]] = {
     val gen = generator(kind)
-    Array.tabulate(n)(i => gen(i.toLong, len, seed))
+    val out = new Array[Array[Double]](n)
+    Pool.chunked(n, chunk) { (from, until) =>
+      var i = from
+      while (i < until) { out(i) = gen(i.toLong, len, seed); i += 1 }
+    }
+    out
   }
 
   /** Query workload: same generator family, disjoint seed space (paper §5:

@@ -69,4 +69,14 @@ class SeriesGenSpec extends AnyFunSuite {
   test("dataset returns n series") {
     assert(SeriesGen.dataset("walk", 17, 16, 0).length == 17)
   }
+  test("a dataset generated in chunks equals the generator tabulated in order") {
+    for (kind <- Seq("walk", "seismic", "astronomy")) {
+      val gen = SeriesGen.generator(kind)
+      for ((n, chunk) <- Seq((0, 3), (1, 3), (23, 3), (23, 23), (3 * repro.util.Pool.MinChunk + 7, repro.util.Pool.MinChunk))) {
+        val want = Array.tabulate(n)(i => gen(i.toLong, 32, 4))
+        val got = if (chunk == repro.util.Pool.MinChunk) SeriesGen.dataset(kind, n, 32, 4) else SeriesGen.dataset(kind, n, 32, 4, chunk)
+        assert(got.length == n && got.indices.forall(i => got(i).sameElements(want(i))), s"$kind, $n series in chunks of $chunk")
+      }
+    }
+  }
 }

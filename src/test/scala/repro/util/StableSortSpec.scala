@@ -52,6 +52,17 @@ class StableSortSpec extends AnyFunSuite {
     checkSorts(Array.fill(1000)(42L)) // every byte shared: nothing to sort
   }
 
+  test("byKey sorts by top-byte bucket from twice its partition threshold as a stable reference sort does") {
+    val r = new java.util.Random(20)
+    val n = 2 * StableSort.PartitionMin + 13
+    checkSorts(Array.fill(n)(r.nextLong())) // full-range keys
+    val pool = Array.fill(50)(r.nextLong())
+    checkSorts(Array.fill(n)(pool(r.nextInt(pool.length)))) // 50 distinct values
+    checkSorts(Array.fill(n)(0x3aL << 56 | (r.nextLong() >>> 8))) // one top byte: one bucket
+    checkSorts(Array.fill(n)(-7L)) // all equal
+    checkSorts(Array.fill(n)(if (r.nextBoolean()) Long.MinValue else Long.MaxValue))
+  }
+
   test("Candidates.sortByPos and sortByLb keep insertion order on ties") {
     import repro.index.Candidates
     def filled(): Candidates = {
