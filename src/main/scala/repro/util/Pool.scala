@@ -23,8 +23,8 @@ object Pool {
     */
   private[repro] val MinChunk = 4096
 
-  /** The cores, read once: a container-aware JVM may read the cgroup
-    * files on each `availableProcessors` call.
+  /** The cores, read once, as the common pool reads them once for its
+    * size: the caller and at most `Cores - 1` workers run a range's chunks.
     */
   private val Cores = Runtime.getRuntime.availableProcessors
 
