@@ -2,8 +2,8 @@ package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.CoconutTree
 import repro.baselines.ISaxIndex
+import repro.core.CoconutTree
 import repro.series.{InvSAX, SaxParams, SeriesGen}
 import repro.storage.DiskModel
 import repro.util.Pool

@@ -2,6 +2,8 @@ package repro.series
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.util.Pool
+
 class SeriesGenSpec extends AnyFunSuite {
 
   test("randomWalk is deterministic in (seed, id)") {
@@ -72,9 +74,9 @@ class SeriesGenSpec extends AnyFunSuite {
   test("a dataset generated in chunks equals the generator tabulated in order") {
     for (kind <- Seq("walk", "seismic", "astronomy")) {
       val gen = SeriesGen.generator(kind)
-      for ((n, chunk) <- Seq((0, 3), (1, 3), (23, 3), (23, 23), (3 * repro.util.Pool.MinChunk + 7, repro.util.Pool.MinChunk))) {
+      for ((n, chunk) <- Seq((0, 3), (1, 3), (23, 3), (23, 23), (3 * Pool.MinChunk + 7, Pool.MinChunk))) {
         val want = Array.tabulate(n)(i => gen(i.toLong, 32, 4))
-        val got = if (chunk == repro.util.Pool.MinChunk) SeriesGen.dataset(kind, n, 32, 4) else SeriesGen.dataset(kind, n, 32, 4, chunk)
+        val got = if (chunk == Pool.MinChunk) SeriesGen.dataset(kind, n, 32, 4) else SeriesGen.dataset(kind, n, 32, 4, chunk)
         assert(got.length == n && got.indices.forall(i => got(i).sameElements(want(i))), s"$kind, $n series in chunks of $chunk")
       }
     }
