@@ -4,7 +4,7 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import repro.index.{Candidates, MinDist, Nearest, SearchResult, SeriesIndex, Summaries}
-import repro.series.{SAX, SaxParams, Series}
+import repro.series.{InvSAX, SAX, SaxParams, Series}
 import repro.storage.{DiskModel, SimFile}
 
 /** State-of-the-art baseline family: iSAX 2.0-style top-down prefix-split
@@ -29,15 +29,14 @@ import repro.storage.{DiskModel, SimFile}
   * summaries scanned in raw-file order, skip-sequential fetch of unpruned
   * raw records, seeded by an approximate-search best-so-far.
   *
-  * The index is built over a fixed `data` array but may cover only a
-  * prefix of it (`size` grows via [[insertSlice]]) — this supports the
-  * paper's §5.3 updates experiment, where batches arrive interleaved with
-  * queries.
+  * The raw series are the caller's array, not a copy. A later batch
+  * ([[insert]]) is appended to them and inserted through the same buffer,
+  * as in the paper's §5.3 updates experiment.
   */
-final class ISaxIndex private[baselines] (
-    val name: String,
+final class ISaxIndex private (
     val params: SaxParams,
-    val data: Array[Array[Double]],
+    private var data: Array[Array[Double]],
+    private var store: Summaries,
     val materialized: Boolean,
     val disk: DiskModel,
     val leafCapacity: Int,
@@ -53,20 +52,15 @@ final class ISaxIndex private[baselines] (
               if (materialized) rawBytes + sumBytes else sumBytes)
   private val matFile: SimFile = disk.file("ads-mat", rawBytes + sumBytes)
 
-  /** SAX symbols of all series in raw-file order (filled per slice on
-    * insert); the index has no sort key.
-    */
-  private val store =
-    new Summaries(params, Array.emptyLongArray, Array.range(0, data.length), new Array[Byte](data.length * params.w))
   private val root = mutable.LongMap.empty[Node]
   private val pending = ArrayBuffer.empty[Int] // buffered series ids (the FBL)
   private val bufferCapacity: Int =
     math.max(1, (memBytes / (if (materialized) rawBytes + sumBytes else sumBytes)).toInt)
 
-  /** Number of series inserted so far (≤ data.length). */
-  var size: Int = 0
+  def name: String = if (materialized) "ADSFull" else "ADS+"
+  def size: Int = data.length
 
-  private[baselines] def collectLeaves: Seq[Node] = {
+  private[repro] def collectLeaves: Seq[Node] = {
     val out = ArrayBuffer.empty[Node]
     def rec(nd: Node): Unit = if (nd.isLeaf) out += nd else { rec(nd.left); rec(nd.right) }
     root.values.foreach(rec)
@@ -81,27 +75,28 @@ final class ISaxIndex private[baselines] (
 
   // ------------------------------------------------------------------ build
 
-  /** Insert `data(from until until)` top-down through the FBL buffer,
-    * charging the summarize pass (+ the raw re-read for materialized
-    * builds) and the buffered leaf read/write traffic. The slice is
-    * summarized into the store first, so a series holding a NaN or an
-    * infinity is rejected before any charge or routing.
+  /** Insert a batch top-down through the FBL buffer: it is appended to the
+    * raw series and takes the next ids. It is summarized first, so a batch
+    * holding a series of the wrong length, a NaN or an infinity is rejected,
+    * named by its position in the batch, before any charge or change.
     */
-  def insertSlice(from: Int, until: Int): Unit = {
-    require(from == size && from <= until && until <= data.length,
-      s"an insert must be a range [from, until) with from = $size (the series inserted so far) and " +
-      s"from ≤ until ≤ ${data.length}; got [$from, $until)")
-    SeriesIndex.summarize(data, from, until, params, store.keys, store.syms)
-    rawFile.readRange(from.toLong, (until - from).toLong) // summarize pass
-    if (materialized) { rawFile.resetCursor(); rawFile.readRange(from.toLong, (until - from).toLong) }
-    var i = from
-    while (i < until) {
-      pending += i
-      if (pending.length >= bufferCapacity) flush()
-      i += 1
-    }
+  def insert(batch: Array[Array[Double]]): Unit = {
+    if (batch.isEmpty) return
+    SeriesIndex.checkData(batch, params.n)
+    store = ISaxIndex.appended(store.syms, batch, params)
+    data = data ++ batch
+    route(batch.length)
+  }
+
+  /** Route the last `m` series through the FBL, charging the summarize pass
+    * (+ the raw re-read when materialized) and the buffered leaf traffic.
+    */
+  private def route(m: Int): Unit = {
+    val from = size - m
+    rawFile.readRange(from.toLong, m.toLong) // summarize pass
+    if (materialized) { rawFile.resetCursor(); rawFile.readRange(from.toLong, m.toLong) }
+    for (i <- from until size) { pending += i; if (pending.length >= bufferCapacity) flush() }
     flush()
-    size = until
   }
 
   /** Flush the FBL: route every buffered series to its leaf, then read,
@@ -197,10 +192,9 @@ final class ISaxIndex private[baselines] (
     * empty (and a leaf, since only full leaves split); the descent takes
     * the sibling instead, so the leaf it returns always holds records.
     */
-  private def promisingLeaf(word: Array[Int]): Node = {
-    val syms = word.map(_.toByte)
+  private def promisingLeaf(syms: Array[Byte]): Node = {
     var n = root.getOrElse(ISaxIndex.rootKey(syms, 0, params),
-                           root.minBy { case (key, _) => ISaxIndex.prefixMinDist(word, key, params) }._2)
+                           root.minBy { case (key, _) => ISaxIndex.prefixMinDist(syms, key, params) }._2)
     while (!n.isLeaf) {
       val c = child(n, syms, 0)
       n = if (c.isLeaf && c.ids.isEmpty) (if (c eq n.left) n.right else n.left) else c
@@ -231,8 +225,9 @@ final class ISaxIndex private[baselines] (
     */
   def approxSearch(q: Array[Double], radius: Int = 0): SearchResult = {
     val best = new Nearest(q, data, params.n)
-    require(size > 0, "empty index")
-    scanLeaf(promisingLeaf(SAX.sax(q, params)), best)
+    val syms = new Array[Byte](params.w)
+    InvSAX.summarize(q, params, syms, 0)
+    scanLeaf(promisingLeaf(syms), best)
     best.result
   }
 
@@ -279,18 +274,18 @@ object ISaxIndex {
     k
   }
 
-  /** MINDIST between a full-resolution word and the one-bit-per-segment
-    * prefix regions of the root child `key` (0 where the word's symbol
-    * falls inside the region). Segment j's bit is key bit `w − 1 − j`, as
-    * [[rootKey]] packs it.
+  /** MINDIST between the full-resolution word whose symbols are `syms(0
+    * until w)` and the one-bit-per-segment prefix regions of the root child
+    * `key` (0 where the word's symbol falls inside the region). Segment j's
+    * bit is key bit `w − 1 − j`, as [[rootKey]] packs it.
     */
-  private[baselines] def prefixMinDist(word: Array[Int], key: Long, p: SaxParams): Double = {
+  private[baselines] def prefixMinDist(syms: Array[Byte], key: Long, p: SaxParams): Double = {
     var acc = 0.0; var j = 0
     while (j < p.w) {
       val bit = ((key >>> (p.w - 1 - j)) & 1L).toInt
       val lo = bit << (p.bits - 1)
       val hi = ((bit + 1) << (p.bits - 1)) - 1
-      val s = word(j)
+      val s = syms(j) & 0xff
       if (s < lo) { val d = SAX.regionLow(lo, p) - SAX.regionHigh(s, p); if (d > 0) acc += d * d }
       else if (s > hi) { val d = SAX.regionLow(s, p) - SAX.regionHigh(hi, p); if (d > 0) acc += d * d }
       j += 1
@@ -303,19 +298,21 @@ object ISaxIndex {
     */
   def build(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
             memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
-    val idx = empty(data, p, leafCapacity, memBytes, disk, materialized)
-    idx.insertSlice(0, data.length)
+    SeriesIndex.checkData(data, p.n)
+    SeriesIndex.checkSizes(leafCapacity, memBytes)
+    val idx = new ISaxIndex(p, data, appended(Array.emptyByteArray, data, p),
+                            materialized, disk, leafCapacity, memBytes)
+    idx.route(data.length)
     idx
   }
 
-  /** An empty index over a pre-allocated `data` array; populate with
-    * [[ISaxIndex.insertSlice]] (used by the updates experiment).
+  /** The store, in raw-file order and without sort keys, of the symbols
+    * `prior` followed by those of `series`. A series holding a NaN or an
+    * infinity is named by its position in `series`.
     */
-  def empty(data: Array[Array[Double]], p: SaxParams, leafCapacity: Int,
-            memBytes: Long, disk: DiskModel, materialized: Boolean): ISaxIndex = {
-    SeriesIndex.checkData(data, p.n)
-    SeriesIndex.checkSizes(leafCapacity, memBytes)
-    new ISaxIndex(if (materialized) "ADSFull" else "ADS+",
-                  p, data, materialized, disk, leafCapacity, memBytes)
+  private def appended(prior: Array[Byte], series: Array[Array[Double]], p: SaxParams): Summaries = {
+    val syms = new Array[Byte](series.length * p.w)
+    SeriesIndex.summarize(series, 0, series.length, p, Array.emptyLongArray, syms)
+    new Summaries(p, Array.emptyLongArray, Array.range(0, prior.length / p.w + series.length), prior ++ syms)
   }
 }

@@ -257,8 +257,8 @@ object Experiments {
         val nBatches = (cfg.n - half + b - 1) / b
         val queryEvery = math.max(1, nBatches / 10)
         // `start` builds the index over the first half on a fresh disk and
-        // returns it with its call that inserts `data(from until until)`.
-        def run(system: String)(start: DiskModel => (SeriesIndex, (Int, Int) => Unit)): Unit = {
+        // returns it with its call that inserts a batch.
+        def run(system: String)(start: DiskModel => (SeriesIndex, Array[Array[Double]] => Unit)): Unit = {
           val disk = newDisk()
           val (idx, insert) = start(disk)
           var qi = 0
@@ -266,7 +266,7 @@ object Experiments {
           var batchNo = 0
           while (off < cfg.n) {
             val end = math.min(cfg.n, off + b)
-            insert(off, end)
+            insert(data.slice(off, end))
             batchNo += 1
             if (batchNo % queryEvery == 0 && qi < 20) {
               idx.exactSearch(queries(qi % queries.length)); idx.exactSearch(queries((qi + 1) % queries.length))
@@ -280,13 +280,12 @@ object Experiments {
         run("CTree") { disk =>
           val t = CoconutTree.bulkLoad(data.slice(0, half), cfg.p, LeafCapacity, memBytes, disk,
                                        materialized = false)
-          (t, (from, until) => t.bulkInsertMerge(data.slice(from, until)))
+          (t, t.bulkInsertMerge)
         }
         // ADS+: initial build + top-down batch inserts.
         run("ADS+") { disk =>
-          val a = ISaxIndex.empty(data, cfg.p, LeafCapacity, memBytes, disk, materialized = false)
-          a.insertSlice(0, half)
-          (a, a.insertSlice)
+          val a = ISaxIndex.build(data.slice(0, half), cfg.p, LeafCapacity, memBytes, disk, materialized = false)
+          (a, a.insert)
         }
       }
     }

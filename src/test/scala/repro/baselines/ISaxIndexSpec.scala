@@ -100,36 +100,31 @@ class ISaxIndexSpec extends AnyFunSuite {
     assert(firstTouch.elapsedMs > laterTouch.elapsedMs,
       "first touch pays raw fetches + leaf write; later touches only read the leaf")
   }
-  test("incremental insertSlice builds the same answers as a one-shot build") {
-    val a = ISaxIndex.empty(data, p, 50, 1L << 30, new DiskModel(), materialized = false)
-    a.insertSlice(0, 400); a.insertSlice(400, 1000)
+  test("incremental inserts build the same answers as a one-shot build") {
+    val a = ISaxIndex.build(data.take(400), p, 50, 1L << 30, new DiskModel(), materialized = false)
+    a.insert(data.slice(400, 1000))
+    assert(a.size == 1000)
     val b = build(mat = false)
     for (q <- queries.take(5))
       assert(math.abs(a.exactSearch(q).dist - b.exactSearch(q).dist) < 1e-9)
   }
-  test("insertSlice rejects non-consecutive ranges") {
-    val a = ISaxIndex.empty(data, p, 50, 1L << 30, new DiskModel(), materialized = false)
-    a.insertSlice(0, 100)
-    intercept[IllegalArgumentException](a.insertSlice(300, 400))
-  }
-  test("insertSlice rejects a backwards range and one past the data before any charge or change") {
-    val a = ISaxIndex.empty(data.take(100), p, 50, 1L << 30, new DiskModel(), materialized = false)
-    def state = (a.size, a.collectLeaves.map(_.ids.toList), a.disk.snapshot)
-    for ((inserted, from, until) <- Seq((0, 0, 101), (50, 50, 40), (50, 50, 101))) {
-      if (a.size < inserted) a.insertSlice(a.size, inserted)
+  test("a batch holding a series of the wrong length is rejected before any charge or change") {
+    for (mat <- Seq(false, true)) {
+      val a = build(mat)
+      def state = (a.size, a.collectLeaves.map(_.ids.toList), a.disk.snapshot)
       val before = state
-      val e = intercept[IllegalArgumentException](a.insertSlice(from, until))
-      assert(e.getMessage.contains(s"got [$from, $until)"))
-      assert(state == before)
+      val batch = SeriesGen.dataset("walk", 20, 64, seed = 99)
+      for (odd <- Seq(queries(0).take(56), queries(0) ++ queries(0).take(8))) {
+        val e = intercept[IllegalArgumentException](a.insert(batch :+ odd))
+        assert(e.getMessage.contains(s"series 20 has ${odd.length}"))
+        assert(state == before)
+      }
+      assert(math.abs(a.exactSearch(queries(0)).dist - BruteForce.nn(data, queries(0)).dist) < 1e-9)
     }
-  }
-  test("approx search on an empty index is rejected") {
-    val a = ISaxIndex.empty(data, p, 50, 1L << 30, new DiskModel(), materialized = false)
-    intercept[IllegalArgumentException](a.approxSearch(queries(0)))
   }
   test("an index with more than 8 bits per segment is rejected") {
     val e = intercept[IllegalArgumentException] {
-      ISaxIndex.empty(data, SaxParams(64, 8, 9), 50, 1L << 30, new DiskModel(), materialized = false)
+      ISaxIndex.build(data, SaxParams(64, 8, 9), 50, 1L << 30, new DiskModel(), materialized = false)
     }
     assert(e.getMessage.contains("bits per segment must be at most 8"))
   }

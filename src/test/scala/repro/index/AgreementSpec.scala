@@ -77,13 +77,11 @@ class AgreementSpec extends AnyFunSuite {
       val e = intercept[IllegalArgumentException](t.bulkInsertMerge(batch))
       assert(e.getMessage.contains(s"series 22: value 60 is $bad; indexed values must be finite"), t.name)
       assert((t.size, t.leaves.map(l => (l.start, l.occupancy, l.key)), t.disk.snapshot) == before, t.name)
-      // An ADS slice: rejected before its reads are charged and before routing.
-      val grown = data ++ batch
-      val a = ISaxIndex.empty(grown, p, 30, 1L << 30, new DiskModel(), mat)
-      a.insertSlice(0, data.length)
+      // An ADS batch: rejected before its reads are charged and before routing.
+      val a = ISaxIndex.build(data, p, 30, 1L << 30, new DiskModel(), mat)
       val adsBefore = (a.size, a.leafCount, a.disk.snapshot)
-      val ae = intercept[IllegalArgumentException](a.insertSlice(data.length, grown.length))
-      assert(ae.getMessage.contains(s"series ${data.length + 22}: value 60 is $bad"), a.name)
+      val ae = intercept[IllegalArgumentException](a.insert(batch))
+      assert(ae.getMessage.contains(s"series 22: value 60 is $bad; indexed values must be finite"), a.name)
       assert((a.size, a.leafCount, a.disk.snapshot) == adsBefore, a.name)
     }
   }
@@ -200,7 +198,7 @@ class AgreementSpec extends AnyFunSuite {
       val (t, a) = (tree(), ads())
       for ((idx, twin, insertNothing) <- Seq[(SeriesIndex, SeriesIndex, () => Unit)](
              (t, tree(), () => t.bulkInsertMerge(Array.empty)),
-             (a, ads(), () => a.insertSlice(a.size, a.size)))) {
+             (a, ads(), () => a.insert(Array.empty)))) {
         val before = idx.disk.snapshot
         insertNothing()
         assert(idx.disk.snapshot == before, idx.name)
