@@ -1,9 +1,14 @@
 package repro.core
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+import java.util.Comparator
+
+import scala.collection.mutable.ListBuffer
+import scala.util.Using
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.scalatest.BeforeAndAfterAll
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.index.{BruteForce, MinDist, SeriesIndex}
@@ -13,7 +18,7 @@ import repro.series.{InvSAX, SAX, SaxParams, Series, SeriesGen}
   * range partition → columnar leaves, plus the query dataflows. Every
   * query-result check is validated against DuckDB via [[repro.Oracle]].
   */
-class CoconutSparkSpec extends SparkSpec {
+class CoconutSparkSpec extends SparkSpec with BeforeAndAfterAll {
 
   private val p = SaxParams(n = 32, w = 4, bits = 4)
   private val n = 300
@@ -21,11 +26,20 @@ class CoconutSparkSpec extends SparkSpec {
   private lazy val df = SynthData.dataSeries(spark, n, 32, "walk", seed = 9).cache()
   private lazy val localData = Array.tabulate(n)(i => SeriesGen.randomWalk(i, 32, 9))
   private lazy val queries = SeriesGen.queries("walk", 5, 32, seed = 9)
-  private lazy val indexPath = {
-    val dir = Files.createTempDirectory("coconut-spark").toString
-    CoconutSpark.bulkLoad(df, p, numLeaves, dir).path
-  }
+  private lazy val indexPath = CoconutSpark.bulkLoad(df, p, numLeaves, tempDir("coconut-spark")).path
   private lazy val index = CoconutSpark.load(spark, indexPath, p)
+
+  /** Temporary directories the suite made; deleted, with what they hold, after it. */
+  private val tempDirs = ListBuffer.empty[Path]
+  private def tempDir(prefix: String): String = {
+    val dir = Files.createTempDirectory(prefix)
+    tempDirs += dir
+    dir.toString
+  }
+  override def afterAll(): Unit =
+    try tempDirs.filter(Files.exists(_)).foreach { dir =>
+      Using.resource(Files.walk(dir))(_.sorted(Comparator.reverseOrder[Path]()).forEach(Files.delete(_)))
+    } finally super.afterAll()
 
   /** Exploded (id, pos, v) view of the raw series for SQL-side checks. */
   private def explodedDf: DataFrame = {
@@ -204,8 +218,7 @@ class CoconutSparkSpec extends SparkSpec {
            (good(3).updated(0, Double.NegativeInfinity), "value 0 is -Infinity; indexed values must be finite"),
            (good(3).take(16), "expected a series of 32 values, got 16"))) {
       val rows = good.updated(7, bad).zipWithIndex.map { case (s, i) => (i.toLong, s) }.toSeq.toDF("id", "series")
-      val dir = Files.createTempDirectory("coconut-spark-bad").toString
-      val e = intercept[IllegalArgumentException](CoconutSpark.bulkLoad(rows, p, 2, dir))
+      val e = intercept[IllegalArgumentException](CoconutSpark.bulkLoad(rows, p, 2, tempDir("coconut-spark-bad")))
       assert(e.getMessage == msg)
     }
   }
