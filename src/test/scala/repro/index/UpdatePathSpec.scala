@@ -131,7 +131,7 @@ class UpdatePathSpec extends AnyFunSuite {
 
   test("every batch-taking index answers like brute force after each batch and rejects a bad batch unchanged") {
     for (system <- Seq("CTree", "CTreeFull", "CTrie", "CTrieFull", "ADS+", "ADSFull")) {
-      val prop = Prop.forAll(scenario) { case (first, later, cap, memBytes) =>
+      val prop = Prop.forAllNoShrink(scenario) { case (first, later, cap, memBytes) =>
         run(system, first, later, cap, memBytes)
         true
       }
