@@ -85,6 +85,7 @@ final class ISaxIndex private (
     SeriesIndex.checkData(batch, params.n)
     store = ISaxIndex.appended(store.syms, batch, params)
     data = data ++ batch
+    rawFile.appendRange(batch.length.toLong) // batch lands in the raw file
     route(batch.length)
   }
 
