@@ -29,8 +29,9 @@ import repro.storage.{DiskModel, SimFile}
   * summaries scanned in raw-file order, skip-sequential fetch of unpruned
   * raw records, seeded by an approximate-search best-so-far.
   *
-  * The raw series are the caller's array, not a copy. A later batch
-  * ([[insert]]) is appended to them and inserted through the same buffer,
+  * The raw series are the caller's array, not a copy, and `store` holds
+  * their SAX symbols in raw-file order (ADS has no sort key). A later batch
+  * ([[insert]]) is appended to both and inserted through the same buffer,
   * as in the paper's §5.3 updates experiment.
   */
 final class ISaxIndex private (
